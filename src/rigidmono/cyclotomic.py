@@ -1,11 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A CycNum stores an element of Q(zeta_n) as its coordinate vector in the power
-basis 1, zeta_n, ..., zeta_n^(phi(n)-1) of Q[x]/(Phi_n), where Phi_n is the
-n-th cyclotomic polynomial.  The stored conductor is always minimal: after
-every operation the element is re-expressed in the smallest Q(zeta_m) with
-m | n that contains it, so equality is plain coefficient comparison.  Zero and
-the rationals live at conductor 1.
+A CycNum stores an element of Q(zeta_n) as sum(a_i zeta_n^i) / d in the power
+basis of Q[x]/(Phi_n), Phi_n the n-th cyclotomic polynomial, with integer a_i
+over one positive denominator d in lowest terms (ANTIC's nf_elem layout).
+Arithmetic and conductor descent run on integers; Fraction coordinates are
+built only for callers that read them.  The stored conductor is always
+minimal: every result is re-expressed in the smallest Q(zeta_m) with m | n
+that contains it, so equality is plain comparison.  Zero and the rationals
+live at conductor 1.
 
 >>> zeta(4) * zeta(4)
 CycNum(-1)
@@ -22,9 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FieldMismatch, InvalidAutomorphism, InvalidConductor
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +105,35 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _unit_index(n: int) -> dict[tuple[Fraction, ...], tuple[int, int]]:
-    # Coordinate vector -> (sign, exponent) for the 2n roots of unity in Q(zeta_n).
-    table = _power_table(n)
-    index: dict[tuple[Fraction, ...], tuple[int, int]] = {}
-    for j, row in enumerate(table):
-        index.setdefault(tuple(Fraction(c) for c in row), (1, j))
-        index.setdefault(tuple(Fraction(-c) for c in row), (-1, j))
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row k lists the nonzero (index, value) coordinates of zeta_n^k.
+    return tuple(tuple((i, v) for i, v in enumerate(row) if v) for row in _power_table(n))
+
+
+@lru_cache(maxsize=None)
+def _unit_index(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    # Numerator vector -> (sign, exponent) for the 2n roots of unity in Q(zeta_n).
+    index: dict[tuple[int, ...], tuple[int, int]] = {}
+    for j, row in enumerate(_power_table(n)):
+        index.setdefault(row, (1, j))
+        index.setdefault(tuple(-c for c in row), (-1, j))
     return index
+
+
+def _combine(n: int, terms, size: int) -> list[int]:
+    # Integer coordinates of sum(c zeta_n^k) over the (k, c) pairs in terms.
+    rows = _sparse_rows(n)
+    out = [0] * size
+    for k, c in terms:
+        if c:
+            for i, v in rows[k % n]:
+                out[i] += c * v
+    return out
+
+
+def _apply_exponent(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
+    # zeta_n^j -> zeta_n^(j*k), extended linearly.
+    return tuple(_combine(n, ((j * k, c) for j, c in enumerate(num)), len(num)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,125 +141,111 @@ def _unit_index(n: int) -> dict[tuple[Fraction, ...], tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def _descent_data(n: int, m: int):
-    """Precomputed data for testing membership of Q(zeta_n) elements in Q(zeta_m).
+    """Integer data for testing membership of Q(zeta_n) elements in Q(zeta_m).
 
-    Returns (fixedness tests, solver rows): per kernel automorphism the
+    Returns (fixedness tests, solver rows, scale): per kernel automorphism the
     column-wise integer matrix of its action (for an early-exit fixed-point
-    test), and the top phi(m) rows of a matrix T with T . embed = identity,
-    used to read off coordinates at conductor m.
+    test), and ``scale`` times the top phi(m) rows of a matrix T with
+    T . embed = identity, so that solver . num / scale reads off conductor m.
     """
     phi_n, phi_m = euler_phi(n), euler_phi(m)
     kernel = tuple(k for k in range(2, n) if math.gcd(k, n) == 1 and k % m == 1)
-    table_n = _power_table(n)
-    tests = []
-    for k in kernel:
-        # Column i of the action: image_i = sum_j coeffs[j] * table[(jk) % n][i].
-        cols = []
-        for i in range(phi_n):
-            cols.append(tuple((j, table_n[(j * k) % n][i]) for j in range(phi_n)
-                              if table_n[(j * k) % n][i]))
-        tests.append(tuple(cols))
-    # Embedding matrix: column j is zeta_m^j written at conductor n.
     table = _power_table(n)
+    # Column i of the action: image_i = sum_j num[j] * table[(jk) % n][i].
+    tests = tuple(tuple(tuple((j, table[(j * k) % n][i]) for j in range(phi_n)
+                              if table[(j * k) % n][i])
+                        for i in range(phi_n))
+                  for k in kernel)
+    # Embedding matrix: column j is zeta_m^j written at conductor n.  Row
+    # reduce [E | I] over Q to express the coordinate functionals.
     step = n // m
-    cols = [table[(j * step) % n] for j in range(phi_m)]
-    # Row reduce [E | I] over Q to express the coordinate functionals.
-    aug = [[Fraction(cols[j][i]) for j in range(phi_m)]
-           + [_ONE if k == i else _ZERO for k in range(phi_n)]
+    aug = [[Fraction(table[j * step][i]) for j in range(phi_m)]
+           + [Fraction(k == i) for k in range(phi_n)]
            for i in range(phi_n)]
-    row = 0
-    pivots = []
     for col in range(phi_m):
-        piv = next(i for i in range(row, phi_n) if aug[i][col] != 0)
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
+        piv = next(i for i in range(col, phi_n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
         for i in range(phi_n):
-            if i != row and aug[i][col] != 0:
+            if i != col and aug[i][col]:
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    solver = tuple(tuple(aug[i][phi_m:]) for i in range(phi_m))
-    return tuple(tests), solver
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    solver = [row[phi_m:] for row in aug[:phi_m]]
+    scale = math.lcm(*(v.denominator for row in solver for v in row))
+    return tests, tuple(tuple(int(v * scale) for v in row) for row in solver), scale
 
 
-def _apply_exponent(n: int, coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ...]:
-    # zeta_n^j -> zeta_n^(j*k), extended linearly.
-    table = _power_table(n)
-    out = [_ZERO] * euler_phi(n)
-    for j, c in enumerate(coeffs):
-        if c:
-            for i, v in enumerate(table[(j * k) % n]):
-                if v:
-                    out[i] += c * v
-    return tuple(out)
-
-
-def _is_fixed(cols, coeffs) -> bool:
+def _is_fixed(cols, num) -> bool:
     # Early-exit coordinate comparison of sigma(z) against z.
-    for i, col in enumerate(cols):
-        acc = _ZERO
+    for c, col in zip(num, cols):
+        acc = 0
         for j, mult in col:
-            c = coeffs[j]
-            if c:
-                acc += c if mult == 1 else c * mult
-        if acc != coeffs[i]:
+            acc += num[j] * mult
+        if acc != c:
             return False
     return True
 
 
-def _descend_once(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]] | None:
-    for p in _prime_divisors(n):
-        m = n // p
-        if m == 1:
-            continue
-        tests, solver = _descent_data(n, m)
-        if all(_is_fixed(cols, coeffs) for cols in tests):
-            down = tuple(sum((r * c for r, c in zip(row, coeffs) if c), _ZERO)
-                         for row in solver)
-            return m, down
-    return None
-
-
-def _normalize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    # Minimal-conductor compression of a reduced coordinate vector.
+def _normalize(n: int, num: list[int], den: int) -> CycNum:
+    """The element num/den at conductor n, in canonical form: descend to the
+    minimal conductor, then divide out the gcd."""
     while n > 1:
-        if not any(coeffs[1:]):
-            return 1, (coeffs[0],)
-        step = _descend_once(n, tuple(coeffs))
-        if step is None:
-            return n, tuple(coeffs)
-        n, down = step
-        coeffs = list(down)
-    return 1, (coeffs[0] if coeffs else _ZERO,)
+        if not any(num[1:]):
+            n, num = 1, num[:1]
+            break
+        for p in _prime_divisors(n):
+            m = n // p
+            if m == 1:
+                continue  # n prime: only the rationals lie below, caught above
+            tests, solver, scale = _descent_data(n, m)
+            if all(_is_fixed(cols, num) for cols in tests):
+                num = [sum(r * c for r, c in zip(row, num)) for row in solver]
+                den *= scale
+                n = m
+                break
+        else:
+            break
+    return _lowest_terms(n, num, den)
+
+
+def _lowest_terms(n: int, num, den: int) -> CycNum:
+    # The gcd step of _normalize alone, for n known to be minimal already.
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _make(n, tuple(num), den)
 
 
 # ---------------------------------------------------------------------------
 # The scalar type.
 
-@dataclass(frozen=True)
 class CycNum:
     """An element of the cyclotomic field Q(zeta_n), at minimal conductor n.
 
     Construct values through :func:`rational`, :func:`zeta`, or
-    :meth:`CycNum.from_coeffs`; arithmetic is by the usual operators and is
-    exact.
+    :meth:`CycNum.from_coeffs`; ``CycNum(n, coeffs)`` takes the phi(n)
+    rational power-basis coordinates and also yields the canonical form.
+    Arithmetic is by the usual operators and is exact.  Instances are
+    immutable by convention, like :class:`fractions.Fraction`.
 
     >>> CycNum.from_coeffs([0, 0, 1], 6)    # zeta_6^2 descends to conductor 3
     CycNum(3, (0, 1))
     >>> CycNum.from_coeffs([1, 1, 1], 3)
     CycNum(0)
+    >>> CycNum(4, (Fraction(1, 2), 0)) == rational(Fraction(1, 2))
+    True
     """
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("conductor", "num", "den")
 
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.conductor):
-            raise InvalidConductor(
-                f"need {euler_phi(self.conductor)} coordinates at conductor "
-                f"{self.conductor}, got {len(self.coeffs)}")
+    def __init__(self, conductor: int, coeffs):
+        if len(coeffs) != euler_phi(conductor):
+            raise InvalidConductor(f"need {euler_phi(conductor)} coordinates at conductor "
+                                   f"{conductor}, got {len(coeffs)}")
+        z = CycNum.from_coeffs(coeffs, conductor)
+        self.conductor, self.num, self.den = z.conductor, z.num, z.den
 
     @classmethod
     def from_coeffs(cls, coeffs, n: int) -> CycNum:
@@ -249,27 +255,29 @@ class CycNum:
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > n:
             raise InvalidConductor(f"coefficient list longer than conductor {n}")
-        phi = euler_phi(n)
-        table = _power_table(n)
-        vec = [_ZERO] * phi
-        for k, c in enumerate(coeffs):
-            if c:
-                if k < phi:
-                    vec[k] += c
-                else:
-                    for i, v in enumerate(table[k % n]):
-                        if v:
-                            vec[i] += c * v
-        return cls(*_normalize(n, vec))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        terms = ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs))
+        return _normalize(n, _combine(n, terms, euler_phi(n)), den)
 
-    @classmethod
-    def _raw(cls, n: int, vec: list[Fraction]) -> CycNum:
-        return cls(*_normalize(n, vec))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates in the power basis of Q(zeta_conductor)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    def __eq__(self, other):
+        return (other.__class__ is CycNum and self.conductor == other.conductor
+                and self.den == other.den and self.num == other.num)
+
+    def __hash__(self):
+        # Hash the Fraction coordinates, so that iteration over sets of
+        # CycNum does not depend on the stored representation.
+        return hash((self.conductor, self.coeffs))
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.conductor != 1 or self.num[0] != 0
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -277,38 +285,41 @@ class CycNum:
     def as_rational(self) -> Fraction:
         if self.conductor != 1:
             raise FieldMismatch(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _lift(self, n: int) -> tuple[Fraction, ...]:
-        # Coordinates of self at the (multiple) conductor n.
+    def _lift(self, n: int):
+        # Numerators of self at the multiple conductor n, over self.den.
         if n == self.conductor:
-            return self.coeffs
-        table = _power_table(n)
+            return self.num
         step = n // self.conductor
-        out = [_ZERO] * euler_phi(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(table[(j * step) % n]):
-                    if v:
-                        out[i] += c * v
-        return tuple(out)
+        return _combine(n, ((j * step, c) for j, c in enumerate(self.num)), euler_phi(n))
+
+    def _scale(self, a: int, d: int) -> CycNum:
+        # self * (a/d) for a rational a/d; the conductor stays minimal.
+        if not a:
+            return zero()
+        return _lowest_terms(self.conductor, [a * c for c in self.num], self.den * d)
 
     def __add__(self, other) -> CycNum:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return CycNum(1, (self.coeffs[0] + other.coeffs[0],))
-        n = math.lcm(self.conductor, other.conductor)
+        if other.__class__ is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        m, k = self.conductor, other.conductor
+        n = m if m == k else math.lcm(m, k)
         a, b = self._lift(n), other._lift(n)
-        return CycNum._raw(n, [x + y for x, y in zip(a, b)])
+        d, e = self.den, other.den
+        num = [x * e + y * d for x, y in zip(a, b)]
+        if m == 1 or k == 1:
+            return _lowest_terms(n, num, d * e)  # adding a rational keeps the conductor
+        return _normalize(n, num, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.conductor, tuple(-c for c in self.coeffs))
+        return _make(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> CycNum:
         other = _coerce(other)
@@ -323,87 +334,76 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other) -> CycNum:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1:
-            c = self.coeffs[0]
-            if not c:
-                return CycNum(1, (_ZERO,))
-            return CycNum(other.conductor, tuple(c * v for v in other.coeffs))
-        if other.conductor == 1:
-            c = other.coeffs[0]
-            if not c:
-                return CycNum(1, (_ZERO,))
-            return CycNum(self.conductor, tuple(c * v for v in self.coeffs))
-        n = math.lcm(self.conductor, other.conductor)
+        if other.__class__ is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        m, k = self.conductor, other.conductor
+        if m == 1:
+            return other._scale(self.num[0], self.den)
+        if k == 1:
+            return self._scale(other.num[0], other.den)
+        n = m if m == k else math.lcm(m, k)
         a, b = self._lift(n), other._lift(n)
-        phi = euler_phi(n)
-        conv = [_ZERO] * (2 * phi - 1)
+        phi = len(a)
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        conv = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        table = _power_table(n)
-        vec = list(conv[:phi])
-        for k in range(phi, len(conv)):
-            c = conv[k]
-            if c:
-                for i, v in enumerate(table[k % n]):
-                    if v:
-                        vec[i] += c * v
-        return CycNum._raw(n, vec)
+                for j, y in terms:
+                    conv[i + j] += x * y
+        return _normalize(n, _combine(n, enumerate(conv), phi), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNum:
-        """The multiplicative inverse, by the extended Euclidean algorithm."""
+        """The multiplicative inverse, by the extended Euclidean algorithm
+        on integer polynomials."""
         if not self:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        n = self.conductor
+        n, den = self.conductor, self.den
         if n == 1:
-            return CycNum(1, (1 / self.coeffs[0],))
-        # Invert self mod Phi_n in Q[x]: Phi_n is irreducible, so gcd = 1.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
+            return _make(1, (den if self.num[0] > 0 else -den,), abs(self.num[0]))
+        # Remainders r of a = the numerator polynomial against Phi_n keep
+        # r == s * a (mod Phi_n) with r, s integer: each step scales by the
+        # least factor that cancels the leading term, and each remainder is
+        # divided by the content of (r, s).
+        r0, s0, r1, s1 = list(cyclotomic_polynomial(n)), [0], list(self.num), [1]
         while True:
-            while r1 and not r1[-1]:
-                r1.pop()
+            while not r1[-1]:
+                r1.pop()  # r1 != 0: Phi_n is irreducible, so gcd(a, Phi_n) = 1
             if len(r1) == 1:
-                inv = 1 / r1[0]
-                phi = euler_phi(n)
-                vec = [c * inv for c in s1[:phi]]
-                vec += [_ZERO] * (phi - len(vec))
-                return CycNum._raw(n, vec)
-            # r0 = q r1 + r; s accumulates the Bezout coefficient of self.
-            q = [_ZERO] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                f = r[k + len(r1) - 1] / r1[-1]
-                q[k] = f
-                if f:
-                    for i, d in enumerate(r1):
-                        r[k + i] -= f * d
-            del r[len(r1) - 1:]
-            news = list(s0) + [_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            news[i + j] -= qc * sc
-            r0, r1 = [Fraction(c) for c in r1], r
-            s0, s1 = s1, news
+                break
+            deg, lead = len(r1) - 1, r1[-1]
+            r, s = r0[:], s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+            while len(r) > deg:
+                c = r.pop()
+                if c:
+                    shift, g = len(r) - deg, math.gcd(c, lead)
+                    mult, c = lead // g, c // g
+                    if mult != 1:
+                        r = [mult * v for v in r]
+                        s = [mult * v for v in s]
+                    for i, v in enumerate(r1[:-1], shift):
+                        r[i] -= c * v
+                    for i, v in enumerate(s1, shift):
+                        s[i] -= c * v
+            g = math.gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, [v // g for v in r], [v // g for v in s]
+        c, phi = r1[0], len(self.num)  # s1 * a == c, so 1/self = den * s1 / c
+        if c < 0:
+            c, den = -c, -den
+        num = [den * v for v in s1[:phi]] + [0] * (phi - len(s1))
+        return _lowest_terms(n, num, c)  # Q(1/z) = Q(z): same conductor
 
     def __truediv__(self, other) -> CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.conductor == 1:
-            if not other.coeffs[0]:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * CycNum(1, (1 / other.coeffs[0],))
+            return self * rational(Fraction(other.den, other.num[0]))
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> CycNum:
@@ -427,36 +427,42 @@ class CycNum:
     def conj(self) -> CycNum:
         """Complex conjugate (the automorphism zeta -> zeta^-1)."""
         n = self.conductor
-        if n <= 2:
-            return self
-        return CycNum._raw(n, list(_apply_exponent(n, self.coeffs, n - 1)))
+        return _make(n, _apply_exponent(n, self.num, n - 1), self.den)
 
     def __repr__(self):
         if self.conductor == 1:
-            return f"CycNum({self.coeffs[0]})"
+            return f"CycNum({self.as_rational()})"
         body = ", ".join(str(c) for c in self.coeffs)
         return f"CycNum({self.conductor}, ({body}))"
+
+
+def _make(n: int, num: tuple[int, ...], den: int) -> CycNum:
+    # Trusted constructor: (n, num, den) must already be canonical.
+    z = object.__new__(CycNum)
+    z.conductor, z.num, z.den = n, num, den
+    return z
 
 
 def _coerce(value) -> CycNum:
     if isinstance(value, CycNum):
         return value
     if isinstance(value, (int, Fraction)):
-        return CycNum(1, (Fraction(value),))
+        return rational(value)
     return NotImplemented
 
 
 def rational(value) -> CycNum:
     """The rational number ``value`` as a CycNum at conductor 1."""
-    return CycNum(1, (Fraction(value),))
+    f = Fraction(value)
+    return _make(1, (f.numerator,), f.denominator)
 
 
 def zero() -> CycNum:
-    return CycNum(1, (_ZERO,))
+    return _make(1, (0,), 1)
 
 
 def one() -> CycNum:
-    return CycNum(1, (_ONE,))
+    return _make(1, (1,), 1)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:
@@ -469,13 +475,19 @@ def zeta(n: int, k: int = 1) -> CycNum:
     """
     if n < 1:
         raise InvalidConductor(f"conductor must be positive, got {n}")
-    row = _power_table(n)[k % n]
-    return CycNum._raw(n, [Fraction(c) for c in row])
+    return _normalize(n, list(_power_table(n)[k % n]), 1)
 
 
 def sort_key(z: CycNum):
     """Canonical total order key: conductor, then coordinates lexicographically."""
     return (z.conductor, z.coeffs)
+
+
+def _unit_lookup(z: CycNum) -> tuple[int, int] | None:
+    # (sign, exponent) with z = sign * zeta_n^exponent, or None.
+    if not z or z.den != 1:
+        return None
+    return _unit_index(z.conductor).get(z.num)
 
 
 def root_of_unity_order(z: CycNum) -> int | None:
@@ -491,11 +503,7 @@ def root_of_unity_order(z: CycNum) -> int | None:
     >>> root_of_unity_order(rational(1) + zeta(4)) is None
     True
     """
-    if not z:
-        return None
-    if any(c.denominator != 1 for c in z.coeffs):
-        return None
-    hit = _unit_index(z.conductor).get(z.coeffs)
+    hit = _unit_lookup(z)
     if hit is None:
         return None
     sign, j = hit
@@ -507,9 +515,7 @@ def root_of_unity_order(z: CycNum) -> int | None:
 
 def unit_log(z: CycNum) -> Fraction | None:
     """The a in [0, 1) with z = e^(2 pi i a), or None if z is not a root of unity."""
-    if not z or any(c.denominator != 1 for c in z.coeffs):
-        return None
-    hit = _unit_index(z.conductor).get(z.coeffs)
+    hit = _unit_lookup(z)
     if hit is None:
         return None
     sign, j = hit
@@ -543,6 +549,10 @@ class GaloisElement:
 def galois_apply(z: CycNum, g: GaloisElement) -> CycNum:
     """Apply g to z; z's conductor must divide g's.
 
+    An automorphism maps each subfield Q(zeta_m) onto itself and permutes the
+    power basis up to an integer change of basis, so the image keeps z's
+    conductor and denominator.
+
     >>> galois_apply(zeta(12), GaloisElement(12, 5)) == zeta(12, 5)
     True
     >>> galois_apply(rational(Fraction(3, 7)), GaloisElement(8, 3))
@@ -552,9 +562,7 @@ def galois_apply(z: CycNum, g: GaloisElement) -> CycNum:
     if g.conductor % n != 0:
         raise FieldMismatch(
             f"element at conductor {n} is outside Q(zeta_{g.conductor})")
-    if n == 1:
-        return z
-    return CycNum._raw(n, list(_apply_exponent(n, z.coeffs, g.exponent % n)))
+    return _make(n, _apply_exponent(n, z.num, g.exponent % n), z.den)
 
 
 def galois_group(n: int) -> list[GaloisElement]:

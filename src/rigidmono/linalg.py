@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (CycNum, euler_phi, galois_apply, galois_group, one, rational,
-                         sort_key, zero)
-from .cyclotomic import _power_table  # candidate roots of unity
+                         sort_key, zero, zeta)
 from .errors import NotInvertible, ShapeError
 
 _INT_LIMIT = 4096  # rational-root candidates are skipped past this many divisors
@@ -252,7 +251,7 @@ class Matrix:
     def __repr__(self):
         def show(c):
             if c.conductor == 1:
-                return str(c.coeffs[0])
+                return str(c.as_rational())
             return repr(c)
         body = ", ".join("[" + ", ".join(show(v) for v in row) + "]"
                          for row in self.row_list())
@@ -329,7 +328,7 @@ def _norm_to_q(p: Polynomial, n: int) -> list[Fraction] | None:
     for c in prod.coeffs:
         if c.conductor != 1:
             return None
-        out.append(c.coeffs[0])
+        out.append(c.as_rational())
     return out
 
 
@@ -376,20 +375,13 @@ def _extension_conductor(n: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _unit_candidates(n: int) -> tuple[CycNum, ...]:
+    # The roots of unity +-zeta_n^j, first appearance kept (for even n the
+    # two sign families overlap).
     units = []
     for j in range(n):
-        u = CycNum._raw(n, [Fraction(c) for c in _power_table(n)[j]])
-        units.append(u)
-        units.append(-u)
-    # Dedupe (for even n the two sign families overlap).
-    out = []
-    seen = set()
-    for u in units:
-        key = (u.conductor, u.coeffs)
-        if key not in seen:
-            seen.add(key)
-            out.append(u)
-    return tuple(out)
+        u = zeta(n, j)
+        units += (u, -u)
+    return tuple(dict.fromkeys(units))
 
 
 def _find_one_root(p: Polynomial, n: int, unit_n: int) -> CycNum | None:

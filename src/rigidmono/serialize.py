@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum, GaloisElement, sort_key
+from .cyclotomic import CycNum, GaloisElement, rational, sort_key
 from .errors import SchemaError
 from .galois import AbsoluteVerdict
 from .linalg import Matrix, Polynomial
@@ -60,7 +60,7 @@ def cyc_to_json(z: CycNum) -> dict:
 
 def cyc_from_json(obj, what: str = "cyclotomic number") -> CycNum:
     if isinstance(obj, (str, int)):
-        return CycNum(1, (rational_from_json(obj, what),))
+        return rational(rational_from_json(obj, what))
     _check_keys(obj, {"n", "c"}, what)
     _require("n" in obj and "c" in obj, f"{what}: needs keys 'n' and 'c'")
     n = obj["n"]

@@ -40,6 +40,20 @@ def test_make_root_sum_vanishes():
     assert z.conductor == 1
 
 
+def test_constructor_yields_canonical_form():
+    # The raw constructor used to keep non-minimal forms, which then compared
+    # unequal to the same value built any other way.
+    assert CycNum(2, (Fraction(1),)) == one()
+    assert CycNum(4, (Fraction(1), Fraction(0))) == one()
+    assert CycNum(4, (Fraction(1), Fraction(0))).conductor == 1
+    assert hash(CycNum(4, (Fraction(1), Fraction(0)))) == hash(one())
+    assert CycNum(6, (Fraction(0), Fraction(1))) == zeta(6)
+    with pytest.raises(InvalidConductor):
+        CycNum(4, (Fraction(1),))
+    with pytest.raises(InvalidConductor):
+        CycNum(0, ())
+
+
 def test_make_rejects_bad_conductor():
     with pytest.raises(InvalidConductor):
         CycNum.from_coeffs([1], 0)
@@ -84,8 +98,8 @@ def test_conductor_minimality_under_reexpression():
     for v in POOL:
         for t in (2, 3, 5):
             n = v.conductor * t
-            lifted = v._lift(n)
-            w = CycNum.from_coeffs(list(lifted), n)
+            lifted = [Fraction(c, v.den) for c in v._lift(n)]
+            w = CycNum.from_coeffs(lifted, n)
             assert w == v
             assert w.conductor == v.conductor
 
