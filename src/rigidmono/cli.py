@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -25,25 +24,10 @@ from . import serialize as wire
 from .errors import BudgetExceeded, MathError, SchemaError
 from .galois import absolute_point_test, galois_orbit_eigen
 from .moduli import all_component_specs, component_membership, construct_representative, trace_chart
-from .monodromy import det_data, katz_report, mon, rank2_classify
+from .monodromy import katz_report, rank2_classify
 from .residues import deligne_residues, fuchs_degree, hilbert_poly
 from .tori import (coset_intersect, coset_membership, enumerate_torsion, formula_eval,
                    monomial_preimage, nonsimple_locus_formula)
-
-COMMANDS = ("check", "mon", "classify", "construct", "derham", "orbit", "tori")
-
-SCHEMAS = {
-    "check": {"r": 2, "s": 3, "matrices": ["<matrix: {rows, cols, entries: [cycnum]}>"]},
-    "mon": {"r": 2, "s": 3, "matrices": ["<matrix>"]},
-    "classify": {"r": 2, "s": "<punctures>", "points": [["<cycnum>", "<cycnum>"]]},
-    "construct": {"eigen": {"r": 2, "s": "<punctures>", "points": [["<cycnum>", "<cycnum>"]]},
-                  "spec": {"s": "<punctures>", "triple": [1, 2, 3]}},
-    "derham": {"eigen": {"r": 2, "s": "<punctures>", "points": [["<cycnum>", "<cycnum>"]]},
-               "geometry": {"genus": 0, "degH": 1}},
-    "orbit": {"r": 2, "s": 3, "matrices": ["<matrix>"]},
-    "tori": {"op": "membership|intersect|preimage|enumerate|formula|nonsimple_locus",
-             "...": "op-specific keys: coset/a/b/matrix/point/formula/s/triple/order_bound"},
-}
 
 
 @dataclass(frozen=True)
@@ -67,26 +51,8 @@ def _load_input(source: str):
     return json.loads(text)
 
 
-def _enforce_conductor_cap(values, cap: int):
-    n = 1
-    for v in values:
-        n = math.lcm(n, v.conductor)
-        if n > cap:
-            raise BudgetExceeded(
-                f"working conductor {n} exceeds the cap of {cap}")
-
-
-def _tuple_scalars(t):
-    return (v for m in t.matrices for v in m.entries)
-
-
-def _eigen_scalars(e):
-    return (v for pt in e.points for v in pt)
-
-
 def _run_check(payload, cfg: RunConfig) -> dict:
-    t = wire.tuple_from_json(payload)
-    _enforce_conductor_cap(_tuple_scalars(t), cfg.conductor_cap)
+    t = wire.tuple_from_json(payload, cfg.conductor_cap)
     rep = katz_report(t)
     out = {"r": t.rank, "s": t.punctures,
            "is_irreducible": rep.is_irreducible,
@@ -102,17 +68,15 @@ def _run_check(payload, cfg: RunConfig) -> dict:
 
 
 def _run_mon(payload, cfg: RunConfig) -> dict:
-    t = wire.tuple_from_json(payload)
-    _enforce_conductor_cap(_tuple_scalars(t), cfg.conductor_cap)
-    data = mon(t)
+    t = wire.tuple_from_json(payload, cfg.conductor_cap)
+    data = t.mon_data
     return {"charpolys": [wire.polynomial_to_json(p) for p in data.charpolys],
             "eigen": wire.eigen_to_json(data.eigen) if data.eigen else None,
-            "det": [wire.cyc_to_json(d) for d in det_data(t)]}
+            "det": [wire.cyc_to_json(d) for d in t.dets]}
 
 
 def _run_classify(payload, cfg: RunConfig) -> dict:
-    e = wire.eigen_from_json(payload)
-    _enforce_conductor_cap(_eigen_scalars(e), cfg.conductor_cap)
+    e = wire.eigen_from_json(payload, cfg.conductor_cap)
     comps = []
     for spec in all_component_specs(e.punctures):
         comps.append({"triple": sorted(spec.triple),
@@ -121,19 +85,16 @@ def _run_classify(payload, cfg: RunConfig) -> dict:
 
 
 def _run_construct(payload, cfg: RunConfig) -> dict:
-    obj = wire._check_keys(payload, {"eigen", "spec"}, "construct input")
-    e = wire.eigen_from_json(obj.get("eigen"))
+    obj = wire.check_keys(payload, {"eigen", "spec"}, "construct input")
+    e = wire.eigen_from_json(obj.get("eigen"), cfg.conductor_cap)
     spec = wire.spec_from_json(obj.get("spec"))
-    _enforce_conductor_cap(_eigen_scalars(e), cfg.conductor_cap)
-    t = construct_representative(e, spec)
-    return wire.tuple_to_json(t)
+    return wire.tuple_to_json(construct_representative(e, spec))
 
 
 def _run_derham(payload, cfg: RunConfig) -> dict:
-    obj = wire._check_keys(payload, {"eigen", "geometry"}, "derham input")
-    e = wire.eigen_from_json(obj.get("eigen"))
+    obj = wire.check_keys(payload, {"eigen", "geometry"}, "derham input")
+    e = wire.eigen_from_json(obj.get("eigen"), cfg.conductor_cap)
     geom = wire.geometry_from_json(obj.get("geometry"))
-    _enforce_conductor_cap(_eigen_scalars(e), cfg.conductor_cap)
     rd = deligne_residues(e)
     deg = fuchs_degree(rd)
     return {"residues": wire.residues_to_json(rd),
@@ -143,70 +104,97 @@ def _run_derham(payload, cfg: RunConfig) -> dict:
 
 
 def _run_orbit(payload, cfg: RunConfig) -> dict:
-    t = wire.tuple_from_json(payload)
-    _enforce_conductor_cap(_tuple_scalars(t), cfg.conductor_cap)
+    t = wire.tuple_from_json(payload, cfg.conductor_cap)
     verdict = absolute_point_test(t)
-    eigen = mon(t).eigen
-    orbit = sorted(galois_orbit_eigen(eigen), key=wire.eigen_sort_key)
+    orbit = sorted(galois_orbit_eigen(t.mon_data.eigen), key=wire.eigen_sort_key)
     return {"orbit": [wire.eigen_to_json(e) for e in orbit],
             "absolute": wire.verdict_to_json(verdict)}
+
+
+def _tori_membership(obj, cfg: RunConfig) -> dict:
+    c = wire.coset_from_json(obj.get("coset"))
+    q = wire.point_from_json(obj.get("point"))
+    return {"member": coset_membership(q, c)}
+
+
+def _tori_intersect(obj, cfg: RunConfig) -> dict:
+    out = coset_intersect(wire.coset_from_json(obj.get("a")),
+                          wire.coset_from_json(obj.get("b")))
+    return {"coset": wire.coset_to_json(out)}
+
+
+def _tori_preimage(obj, cfg: RunConfig) -> dict:
+    mat = obj.get("matrix")
+    if not (isinstance(mat, list) and
+            all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in mat)):
+        raise SchemaError("tori preimage: 'matrix' must be a list of integer rows")
+    out = monomial_preimage(wire.coset_from_json(obj.get("coset")), mat)
+    return {"coset": wire.coset_to_json(out)}
+
+
+def _tori_enumerate(obj, cfg: RunConfig) -> dict:
+    c = wire.coset_from_json(obj.get("coset"))
+    bound = obj.get("order_bound", cfg.order_bound)
+    if not isinstance(bound, int) or bound < 1:
+        raise SchemaError("tori enumerate: 'order_bound' must be a positive integer")
+    pts = enumerate_torsion(c, bound)
+    return {"points": sorted([wire.rational_to_json(x) for x in p] for p in pts)}
+
+
+def _tori_formula(obj, cfg: RunConfig) -> dict:
+    f = wire.formula_from_json(obj.get("formula"))
+    q = wire.point_from_json(obj.get("point"))
+    return {"value": formula_eval(f, q)}
+
+
+def _tori_nonsimple_locus(obj, cfg: RunConfig) -> dict:
+    s, triple = obj.get("s"), obj.get("triple")
+    if not (isinstance(s, int) and isinstance(triple, list)):
+        raise SchemaError("tori nonsimple_locus: needs integer 's' and list 'triple'")
+    f = nonsimple_locus_formula(s, triple)
+    q = wire.point_from_json(obj.get("point"))
+    return {"value": formula_eval(f, q)}
+
+
+# op -> (keys besides "op", handler)
+_TORI_OPS = {
+    "membership": ({"coset", "point"}, _tori_membership),
+    "intersect": ({"a", "b"}, _tori_intersect),
+    "preimage": ({"coset", "matrix"}, _tori_preimage),
+    "enumerate": ({"coset", "order_bound"}, _tori_enumerate),
+    "formula": ({"formula", "point"}, _tori_formula),
+    "nonsimple_locus": ({"s", "triple", "point"}, _tori_nonsimple_locus),
+}
 
 
 def _run_tori(payload, cfg: RunConfig) -> dict:
     if not isinstance(payload, dict) or "op" not in payload:
         raise SchemaError("tori input: needs an 'op' key")
     op = payload["op"]
-    if op == "membership":
-        obj = wire._check_keys(payload, {"op", "coset", "point"}, "tori membership")
-        c = wire.coset_from_json(obj.get("coset"))
-        q = wire.point_from_json(obj.get("point"))
-        return {"member": coset_membership(q, c)}
-    if op == "intersect":
-        obj = wire._check_keys(payload, {"op", "a", "b"}, "tori intersect")
-        out = coset_intersect(wire.coset_from_json(obj.get("a")),
-                              wire.coset_from_json(obj.get("b")))
-        return {"coset": wire.coset_to_json(out)}
-    if op == "preimage":
-        obj = wire._check_keys(payload, {"op", "coset", "matrix"}, "tori preimage")
-        mat = obj.get("matrix")
-        if not (isinstance(mat, list) and
-                all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in mat)):
-            raise SchemaError("tori preimage: 'matrix' must be a list of integer rows")
-        out = monomial_preimage(wire.coset_from_json(obj.get("coset")), mat)
-        return {"coset": wire.coset_to_json(out)}
-    if op == "enumerate":
-        obj = wire._check_keys(payload, {"op", "coset", "order_bound"}, "tori enumerate")
-        c = wire.coset_from_json(obj.get("coset"))
-        bound = obj.get("order_bound", cfg.order_bound)
-        if not isinstance(bound, int) or bound < 1:
-            raise SchemaError("tori enumerate: 'order_bound' must be a positive integer")
-        pts = enumerate_torsion(c, bound)
-        return {"points": sorted([wire.rational_to_json(x) for x in p] for p in pts)}
-    if op == "formula":
-        obj = wire._check_keys(payload, {"op", "formula", "point"}, "tori formula")
-        f = wire.formula_from_json(obj.get("formula"))
-        q = wire.point_from_json(obj.get("point"))
-        return {"value": formula_eval(f, q)}
-    if op == "nonsimple_locus":
-        obj = wire._check_keys(payload, {"op", "s", "triple", "point"}, "tori nonsimple_locus")
-        s, triple = obj.get("s"), obj.get("triple")
-        if not (isinstance(s, int) and isinstance(triple, list)):
-            raise SchemaError("tori nonsimple_locus: needs integer 's' and list 'triple'")
-        f = nonsimple_locus_formula(s, triple)
-        q = wire.point_from_json(obj.get("point"))
-        return {"value": formula_eval(f, q)}
-    raise SchemaError(f"tori input: unknown op {op!r}")
+    if not (isinstance(op, str) and op in _TORI_OPS):
+        raise SchemaError(f"tori input: unknown op {op!r}")
+    keys, handler = _TORI_OPS[op]
+    return handler(wire.check_keys(payload, {"op", *keys}, f"tori {op}"), cfg)
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "mon": _run_mon,
-    "classify": _run_classify,
-    "construct": _run_construct,
-    "derham": _run_derham,
-    "orbit": _run_orbit,
-    "tori": _run_tori,
+_TUPLE_SCHEMA = {"r": 2, "s": 3, "matrices": ["<matrix>"]}
+_EIGEN_SCHEMA = {"r": 2, "s": "<punctures>", "points": [["<cycnum>", "<cycnum>"]]}
+
+# command -> (runner, the input schema printed by --describe-schema)
+_COMMANDS = {
+    "check": (_run_check, {"r": 2, "s": 3,
+                           "matrices": ["<matrix: {rows, cols, entries: [cycnum]}>"]}),
+    "mon": (_run_mon, _TUPLE_SCHEMA),
+    "classify": (_run_classify, _EIGEN_SCHEMA),
+    "construct": (_run_construct, {"eigen": _EIGEN_SCHEMA,
+                                   "spec": {"s": "<punctures>", "triple": [1, 2, 3]}}),
+    "derham": (_run_derham, {"eigen": _EIGEN_SCHEMA, "geometry": {"genus": 0, "degH": 1}}),
+    "orbit": (_run_orbit, _TUPLE_SCHEMA),
+    "tori": (_run_tori, {"op": "|".join(_TORI_OPS),
+                         "...": "op-specific keys: coset/a/b/matrix/point/formula/s/triple/"
+                                "order_bound"}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig) -> tuple[int, dict | list]:
@@ -215,7 +203,7 @@ def run(cfg: RunConfig) -> tuple[int, dict | list]:
         payload = _load_input(cfg.input_source)
     except (OSError, json.JSONDecodeError) as exc:
         return 1, {"error": "parse-error", "message": str(exc)}
-    runner = _RUNNERS[cfg.command]
+    runner = _COMMANDS[cfg.command][0]
     if cfg.batch:
         if not isinstance(payload, list):
             return 1, {"error": "schema-error",
@@ -288,7 +276,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.describe_schema:
-        _emit(SCHEMAS[args.describe_schema], args.output)
+        _emit(_COMMANDS[args.describe_schema][1], args.output)
         return 0
     if not args.command:
         parser.error("a command is required (or use --describe-schema)")

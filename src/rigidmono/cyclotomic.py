@@ -279,9 +279,6 @@ class CycNum:
     def __bool__(self) -> bool:
         return self.conductor != 1 or self.num[0] != 0
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def as_rational(self) -> Fraction:
         if self.conductor != 1:
             raise FieldMismatch(f"{self!r} is not rational")

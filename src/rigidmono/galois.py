@@ -8,13 +8,12 @@ quasi-unipotence of the determinant and of all local eigenvalues.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cyclotomic import GaloisElement, galois_apply, galois_group, root_of_unity_order
 from .errors import Indeterminate, ShapeError
 from .linalg import Matrix
-from .monodromy import EigenData, MonodromyTuple, det_data, is_irreducible, mon, rank2_classify
+from .monodromy import EigenData, MonodromyTuple, rank2_classify
 from .residues import ResidueData
 
 
@@ -50,11 +49,7 @@ def galois_orbit_eigen(e: EigenData) -> set[EigenData]:
     n = e.conductor()
     if n == 1:
         return {e}
-    orbit = set()
-    for g in galois_group(n):
-        orbit.add(EigenData.of([[galois_apply(v, g) for v in pt]
-                                for pt in e.points]))
-    return orbit
+    return {conjugate_eigen(e, g) for g in galois_group(n)}
 
 
 def conjugate_eigen(e: EigenData, g: GaloisElement) -> EigenData:
@@ -70,17 +65,13 @@ def absolute_point_test(t: MonodromyTuple) -> AbsoluteVerdict:
     """
     if t.rank != 2:
         raise ShapeError("absolute point test implemented for rank 2")
-    data = mon(t)
+    data = t.mon_data
     if data.eigen is None:
         raise Indeterminate("local eigenvalues do not split over the working field")
-    rigid = is_irreducible(t) and rank2_classify(t).rigid
-    det_torsion = all(root_of_unity_order(d) is not None for d in det_data(t))
+    rigid = t.irreducible and rank2_classify(t).rigid
+    det_torsion = all(root_of_unity_order(d) is not None for d in t.dets)
     mon_torsion = all(root_of_unity_order(v) is not None
                       for pt in data.eigen.points for v in pt)
     ok = rigid and det_torsion and mon_torsion
     return AbsoluteVerdict(rigid, det_torsion, mon_torsion,
                            "absolute-point-candidate" if ok else "not-absolute")
-
-
-def tuple_conductor(t: MonodromyTuple) -> int:
-    return math.lcm(*[v.conductor for m in t.matrices for v in m.entries])

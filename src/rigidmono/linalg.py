@@ -155,11 +155,6 @@ class Matrix:
     def is_identity(self) -> bool:
         return self.is_scalar() and self.entries[0] == one()
 
-    def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows,
-                      tuple(self[i, j] for j in range(self.cols)
-                            for i in range(self.rows)))
-
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
         return Matrix(self.rows, self.cols,
@@ -434,14 +429,14 @@ def _sqrt_in_field(d: CycNum, n: int, unit_n: int) -> CycNum | None:
 
 def _nth_root(f: Fraction, k: int) -> Fraction | None:
     def iroot(m: int) -> int | None:
-        if m == 0:
-            return 0
-        r = max(1, int(round(m ** (1.0 / k))))
-        while r > 1 and r ** k > m:
-            r -= 1
-        while (r + 1) ** k <= m:
-            r += 1
-        return r if r ** k == m else None
+        lo, hi = 0, 1 << (m.bit_length() // k + 1)  # the root is below hi
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid ** k <= m:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo if lo ** k == m else None
     num, den = iroot(f.numerator), iroot(f.denominator)
     if num is None or den is None:
         return None

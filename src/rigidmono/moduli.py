@@ -59,7 +59,7 @@ def trace_chart(t: MonodromyTuple) -> TraceChartPoint:
         raise ShapeError("trace chart requires rank 2 and exactly 3 punctures")
     g1, g2, _ = t.matrices
     return TraceChartPoint(g1.trace(), g2.trace(), (g1 @ g2).trace(),
-                           g1.det().inverse(), g2.det().inverse())
+                           t.dets[0].inverse(), t.dets[1].inverse())
 
 
 def _global_product(e: EigenData) -> CycNum:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycNum, rational, sort_key, zero
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
@@ -22,7 +23,8 @@ class MonodromyTuple:
     """s invertible r x r matrices g_1, ..., g_s with g_1 g_2 ... g_s = I.
 
     Construction validates the shape, the invertibility of every factor, and
-    the product relation, so every instance in hand is a valid tuple.
+    the product relation, so every instance in hand is a valid tuple.  Its
+    ``det_data``, ``is_irreducible`` and ``mon`` are computed once, on first use.
     """
 
     rank: int
@@ -38,7 +40,8 @@ class MonodromyTuple:
         for i, g in enumerate(self.matrices):
             if not (g.is_square() and g.rows == r):
                 raise ShapeError(f"matrix {i + 1} is not {r}x{r}")
-            if not g.det():
+        for i, d in enumerate(self.dets):
+            if not d:
                 raise NotInvertible(f"matrix {i + 1} is singular")
         prod = Matrix.identity(r)
         for g in self.matrices:
@@ -52,6 +55,18 @@ class MonodromyTuple:
         if not matrices:
             raise ShapeError("empty tuple")
         return cls(matrices[0].rows, len(matrices), matrices)
+
+    @cached_property
+    def dets(self) -> tuple[CycNum, ...]:
+        return det_data(self)
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return is_irreducible(self)
+
+    @cached_property
+    def mon_data(self) -> MonData:
+        return mon(self)
 
     def conjugated(self, h: Matrix) -> MonodromyTuple:
         """The tuple h g_i h^-1, a point in the same moduli class."""
@@ -215,14 +230,13 @@ def katz_report(t: MonodromyTuple) -> RigidityReport:
     dims = tuple(centralizer_dim(g) for g in t.matrices)
     total = sum(dims)
     threshold = (t.punctures - 2) * t.rank * t.rank + 2
-    irr = is_irreducible(t)
-    if not irr:
+    if not t.irreducible:
         verdict = "not-applicable(reducible)"
     elif total == threshold:
         verdict = "rigid"
     else:
         verdict = "not-rigid"
-    return RigidityReport(dims, total, threshold, threshold - total, irr, verdict)
+    return RigidityReport(dims, total, threshold, threshold - total, t.irreducible, verdict)
 
 
 def scalar_points(t: MonodromyTuple) -> frozenset[int]:
@@ -235,7 +249,7 @@ def rank2_classify(t: MonodromyTuple) -> Rank2Classification:
     local monodromy; the triple names the moduli component."""
     if t.rank != 2:
         raise ShapeError("classification requires rank 2")
-    if not is_irreducible(t):
+    if not t.irreducible:
         raise NotApplicable("classification applies to irreducible tuples only")
     nonscalar = frozenset(range(1, t.punctures + 1)) - scalar_points(t)
     rigid = len(nonscalar) == 3

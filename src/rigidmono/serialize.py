@@ -2,14 +2,17 @@
 
 All rationals travel as strings so no reader ever rounds them; multisets are
 serialized in the canonical order (conductor, then coordinates), making
-reports byte-stable.  Parsers are strict: unknown keys are rejected.
+reports byte-stable.  Parsers are strict: unknown keys are rejected.  A
+``conductor_cap`` is enforced before any field arithmetic, on each declared
+conductor and on the lcm of the decoded entries' conductors.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import CycNum, GaloisElement, rational, sort_key
-from .errors import SchemaError
+from .errors import BudgetExceeded, SchemaError
 from .galois import AbsoluteVerdict
 from .linalg import Matrix, Polynomial
 from .moduli import ComponentSpec, TraceChartPoint
@@ -23,11 +26,20 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
-def _check_keys(obj, allowed: set[str], what: str) -> dict:
+def check_keys(obj, allowed: set[str], what: str) -> dict:
+    """``obj``, checked to be a JSON object with no key outside ``allowed``."""
     _require(isinstance(obj, dict), f"{what}: expected a JSON object")
     unknown = set(obj) - allowed
     _require(not unknown, f"{what}: unknown keys {sorted(unknown)}")
     return obj
+
+
+def _enforce_conductor_cap(values, cap: int | None):
+    n = 1
+    for v in values:
+        n = math.lcm(n, v.conductor)
+        if cap is not None and n > cap:
+            raise BudgetExceeded(f"working conductor {n} exceeds the cap of {cap}")
 
 
 # -- rationals ---------------------------------------------------------------
@@ -58,13 +70,15 @@ def cyc_to_json(z: CycNum) -> dict:
             "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
 
 
-def cyc_from_json(obj, what: str = "cyclotomic number") -> CycNum:
+def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
     if isinstance(obj, (str, int)):
         return rational(rational_from_json(obj, what))
-    _check_keys(obj, {"n", "c"}, what)
+    check_keys(obj, {"n", "c"}, what)
     _require("n" in obj and "c" in obj, f"{what}: needs keys 'n' and 'c'")
     n = obj["n"]
     _require(isinstance(n, int) and n >= 1, f"{what}: bad conductor {n!r}")
+    if conductor_cap is not None and n > conductor_cap:
+        raise BudgetExceeded(f"{what}: declared conductor {n} exceeds the cap of {conductor_cap}")
     _require(isinstance(obj["c"], list), f"{what}: 'c' must be a list")
     coeffs = [rational_from_json(c, what) for c in obj["c"]]
     return CycNum.from_coeffs(coeffs, n)
@@ -75,7 +89,7 @@ def galois_to_json(g: GaloisElement) -> dict:
 
 
 def galois_from_json(obj) -> GaloisElement:
-    _check_keys(obj, {"n", "k"}, "galois element")
+    check_keys(obj, {"n", "k"}, "galois element")
     _require(isinstance(obj.get("n"), int) and isinstance(obj.get("k"), int),
              "galois element: 'n' and 'k' must be integers")
     return GaloisElement(obj["n"], obj["k"])
@@ -88,15 +102,15 @@ def matrix_to_json(m: Matrix) -> dict:
             "entries": [cyc_to_json(v) for v in m.entries]}
 
 
-def matrix_from_json(obj) -> Matrix:
-    _check_keys(obj, {"rows", "cols", "entries"}, "matrix")
+def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
+    check_keys(obj, {"rows", "cols", "entries"}, "matrix")
     rows, cols = obj.get("rows"), obj.get("cols")
     _require(isinstance(rows, int) and isinstance(cols, int),
              "matrix: 'rows' and 'cols' must be integers")
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
              f"matrix: expected {rows * cols} entries")
-    return Matrix(rows, cols, tuple(cyc_from_json(v, "matrix entry") for v in ent))
+    return Matrix(rows, cols, tuple(cyc_from_json(v, "matrix entry", conductor_cap) for v in ent))
 
 
 def tuple_to_json(t: MonodromyTuple) -> dict:
@@ -104,11 +118,14 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
             "matrices": [matrix_to_json(m) for m in t.matrices]}
 
 
-def tuple_from_json(obj) -> MonodromyTuple:
-    _check_keys(obj, {"r", "s", "matrices"}, "monodromy tuple")
+def tuple_from_json(obj, conductor_cap: int | None = None) -> MonodromyTuple:
+    check_keys(obj, {"r", "s", "matrices"}, "monodromy tuple")
     mats = obj.get("matrices")
     _require(isinstance(mats, list) and mats, "monodromy tuple: 'matrices' must be a non-empty list")
-    t = MonodromyTuple.of([matrix_from_json(m) for m in mats])
+    mats = [matrix_from_json(m, conductor_cap) for m in mats]
+    # Checked before validation multiplies the factors at this conductor.
+    _enforce_conductor_cap((v for m in mats for v in m.entries), conductor_cap)
+    t = MonodromyTuple.of(mats)
     if "r" in obj:
         _require(obj["r"] == t.rank, f"monodromy tuple: declared rank {obj['r']} != {t.rank}")
     if "s" in obj:
@@ -124,11 +141,12 @@ def eigen_to_json(e: EigenData) -> dict:
             "points": [[cyc_to_json(v) for v in pt] for pt in e.points]}
 
 
-def eigen_from_json(obj) -> EigenData:
-    _check_keys(obj, {"r", "s", "points"}, "eigenvalue data")
+def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
+    check_keys(obj, {"r", "s", "points"}, "eigenvalue data")
     pts = obj.get("points")
     _require(isinstance(pts, list) and pts, "eigenvalue data: 'points' must be a non-empty list")
-    e = EigenData.of([[cyc_from_json(v, "eigenvalue") for v in pt] for pt in pts])
+    e = EigenData.of([[cyc_from_json(v, "eigenvalue", conductor_cap) for v in pt] for pt in pts])
+    _enforce_conductor_cap((v for pt in e.points for v in pt), conductor_cap)
     if "r" in obj:
         _require(obj["r"] == e.rank, "eigenvalue data: declared rank disagrees")
     if "s" in obj:
@@ -142,7 +160,7 @@ def residues_to_json(rd: ResidueData) -> dict:
 
 
 def residues_from_json(obj) -> ResidueData:
-    _check_keys(obj, {"r", "s", "points"}, "residue data")
+    check_keys(obj, {"r", "s", "points"}, "residue data")
     pts = obj.get("points")
     _require(isinstance(pts, list) and pts, "residue data: 'points' must be a non-empty list")
     rd = ResidueData.of([[rational_from_json(a, "residue") for a in pt] for pt in pts])
@@ -154,14 +172,10 @@ def residues_from_json(obj) -> ResidueData:
 
 
 def geometry_from_json(obj) -> CurveGeometry:
-    _check_keys(obj, {"genus", "degH"}, "curve geometry")
+    check_keys(obj, {"genus", "degH"}, "curve geometry")
     _require(isinstance(obj.get("genus"), int) and isinstance(obj.get("degH"), int),
              "curve geometry: 'genus' and 'degH' must be integers")
     return CurveGeometry(obj["genus"], obj["degH"])
-
-
-def geometry_to_json(geom: CurveGeometry) -> dict:
-    return {"genus": geom.genus, "degH": geom.deg_h}
 
 
 def spec_to_json(spec: ComponentSpec) -> dict:
@@ -169,7 +183,7 @@ def spec_to_json(spec: ComponentSpec) -> dict:
 
 
 def spec_from_json(obj) -> ComponentSpec:
-    _check_keys(obj, {"s", "triple"}, "component spec")
+    check_keys(obj, {"s", "triple"}, "component spec")
     _require(isinstance(obj.get("s"), int), "component spec: 's' must be an integer")
     tri = obj.get("triple")
     _require(isinstance(tri, list) and all(isinstance(i, int) for i in tri),
@@ -228,7 +242,7 @@ def coset_to_json(c: TorsionCoset) -> dict:
 
 
 def coset_from_json(obj) -> TorsionCoset:
-    _check_keys(obj, {"N", "L", "tau", "empty"}, "torsion coset")
+    check_keys(obj, {"N", "L", "tau", "empty"}, "torsion coset")
     n = obj.get("N")
     _require(isinstance(n, int) and n >= 1, "torsion coset: bad ambient dimension")
     rel = obj.get("L", [])
@@ -253,7 +267,7 @@ def formula_from_json(obj) -> TorusFormula:
     _require(isinstance(obj, dict), "formula: expected a JSON object")
     if "op" not in obj:
         return TorusFormula.leaf(coset_from_json(obj))
-    _check_keys(obj, {"op", "args"}, "formula")
+    check_keys(obj, {"op", "args"}, "formula")
     op = obj["op"]
     _require(op in ("union", "intersection", "complement"),
              f"formula: unknown operation {op!r}")

@@ -1,8 +1,13 @@
 import json
+import math
+
+import pytest
 
 from conftest import legendre_eigen, legendre_tuple
+from rigidmono import Matrix, zeta
 from rigidmono import serialize as wire
-from rigidmono.cli import main
+from rigidmono import cli
+from rigidmono.cli import COMMANDS, main
 
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
 
@@ -162,3 +167,62 @@ def test_describe_schema(capsys):
     status, out = run_cli(capsys, "--describe-schema", "construct")
     assert status == 0
     assert "eigen" in json.loads(out)
+
+
+def test_declared_conductor_above_cap_exit_3(capsys):
+    # Rejected before the coefficients are reduced mod Phi_4001, which builds
+    # a 4001 x 4000 power table even though the value is rational.
+    eigen = {"points": [[{"n": 4001, "c": ["1"]}, "1"], ["1", "1"], ["1", "1"]]}
+    status, out = run_cli(capsys, "classify", "--input", json.dumps(eigen))
+    assert status == 3
+    assert json.loads(out)["error"] == "budget-exceeded"
+
+
+def test_working_conductor_above_cap_exit_3_before_validation(capsys):
+    # Entries at conductors 31 and 37 are each under the cap, but checking the
+    # product relation would multiply them at conductor 1147.
+    mats = [Matrix.from_rows([[zeta(31), 0], [0, 1]]), Matrix.from_rows([[zeta(37), 0], [0, 1]]),
+            Matrix.identity(2)]
+    payload = json.dumps({"matrices": [wire.matrix_to_json(m) for m in mats]})
+    status, out = run_cli(capsys, "mon", "--input", payload)
+    assert status == 3
+    assert json.loads(out)["message"] == "working conductor 1147 exceeds the cap of 240"
+
+
+def test_huge_discriminant_exit_0(capsys):
+    # 4M is far above the float range, and M has too many divisors for the
+    # rational candidate search, so the exact square-root test decides.
+    m = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]) ** 18
+    g1, g2 = Matrix.from_rows([[0, -m], [1, 0]]), Matrix.from_rows([[1, 1], [0, 1]])
+    mats = [g1, g2, (g1 @ g2).inverse()]
+    payload = json.dumps({"matrices": [wire.matrix_to_json(g) for g in mats]})
+    status, out = run_cli(capsys, "mon", "--input", payload)
+    assert status == 0
+    assert json.loads(out)["eigen"] is None
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_describe_schema_every_command(capsys, command):
+    status, out = run_cli(capsys, "--describe-schema", command)
+    assert status == 0
+    assert isinstance(json.loads(out), dict)
+
+
+def test_tori_schema_names_the_dispatched_ops(capsys):
+    status, out = run_cli(capsys, "--describe-schema", "tori")
+    assert status == 0
+    ops = json.loads(out)["op"].split("|")
+    assert ops == ["membership", "intersect", "preimage", "enumerate", "formula",
+                   "nonsimple_locus"]
+    assert set(ops) == set(cli._TORI_OPS)
+    for op in ops:
+        status, out = run_cli(capsys, "tori", "--input", json.dumps({"op": op}))
+        assert status == 1
+        assert "unknown op" not in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("op", ["xor", ["membership"], None])
+def test_tori_unknown_op_exit_1(capsys, op):
+    status, out = run_cli(capsys, "tori", "--input", json.dumps({"op": op}))
+    assert status == 1
+    assert "unknown op" in json.loads(out)["message"]

@@ -6,7 +6,7 @@ import pytest
 from rigidmono import (Matrix, Polynomial, charpoly, eigenvalues_split, one, rank_and_kernel_dim,
                        rational, sort_key, zeta)
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import poly_roots_in_field
+from rigidmono.linalg import _nth_root, poly_roots_in_field
 
 M = Matrix.from_rows
 POOL = [rational(x) for x in (0, 1, -1, 2, Fraction(1, 2))] + [zeta(3), zeta(4), zeta(3) + 1]
@@ -151,3 +151,16 @@ def test_polynomial_evaluation_and_deflation():
     q = p.deflate(one())
     assert q == Polynomial.of([1, 1])
     assert p.deflate(rational(2)) is None
+
+
+def test_nth_root_is_exact_beyond_float_range():
+    assert _nth_root(Fraction(10 ** 400), 4) == 10 ** 100
+    assert _nth_root(Fraction(10 ** 400 + 1), 4) is None
+    assert _nth_root(Fraction(3 ** 200, 7 ** 300), 100) == Fraction(9, 343)
+
+
+def test_nth_root_matches_bruteforce():
+    for k in range(1, 7):
+        for m in range(200):
+            want = next((r for r in range(m + 1) if r ** k == m), None)
+            assert _nth_root(Fraction(m), k) == want
