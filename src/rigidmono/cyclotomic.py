@@ -472,7 +472,13 @@ def zeta(n: int, k: int = 1) -> CycNum:
     """
     if n < 1:
         raise InvalidConductor(f"conductor must be positive, got {n}")
-    return _normalize(n, list(_power_table(n)[k % n]), 1)
+    g = math.gcd(k, n)
+    n, k, sign = n // g, k // g % (n // g), 1
+    if n % 4 == 2:  # zeta_n^k = -zeta_m^((k + m) / 2) with m = n/2 and k both odd
+        n //= 2
+        k, sign = (k + n) // 2 % n, -1
+    # A primitive n-th root of unity with n not 2 mod 4 has conductor n.
+    return _make(n, tuple(sign * c for c in _power_table(n)[k]), 1)
 
 
 def sort_key(z: CycNum):
@@ -526,6 +532,41 @@ def unit_exp(a: Fraction) -> CycNum:
     """The root of unity e^(2 pi i a) for rational a."""
     a = Fraction(a) % 1
     return zeta(a.denominator, a.numerator)
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[int, ...]:
+    # Tr(zeta_n^e) from Q(zeta_n) to Q, for e in 0..n-1: zeta_n^e is a
+    # primitive m-th root with m = n / gcd(e, n), whose trace over Q(zeta_m) is
+    # mu(m), minus the coefficient of x^(phi(m) - 1) in Phi_m.
+    phi = euler_phi(n)
+    out = []
+    for e in range(n):
+        m = n // math.gcd(e, n)
+        out.append(-cyclotomic_polynomial(m)[-2] * (phi // euler_phi(m)))
+    return tuple(out)
+
+
+def rational_parts(z: CycNum, n: int) -> tuple[Fraction, ...]:
+    """The rational parts pi(z zeta_n^j) for j = 0..n-1; z's conductor must
+    divide n.
+
+    pi = Tr / phi(n), the trace from Q(zeta_n) to Q over the degree, is the
+    Q-linear projection onto Q that fixes Q.
+
+    >>> [str(x) for x in rational_parts(zeta(4), 4)]
+    ['0', '-1', '0', '1']
+    >>> rational_parts(rational(3), 6)[2]
+    Fraction(-3, 2)
+    """
+    m = z.conductor
+    if n % m != 0:
+        raise FieldMismatch(f"element at conductor {m} is outside Q(zeta_{n})")
+    weights, step = _trace_weights(n), n // m
+    terms = [(i * step, c) for i, c in enumerate(z.num) if c]
+    den = z.den * euler_phi(n)
+    return tuple(Fraction(sum(c * weights[(e + j) % n] for e, c in terms), den)
+                 for j in range(n))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Everything here is exact: rank and kernel dimension come from division-free
 Gaussian elimination, the characteristic polynomial from the trace recursion
-(which divides only by small integers), and eigenvalue extraction is a
-best-effort search inside the field generated by the matrix entries.
+(which divides only by small integers), and eigenvalues come from one exact
+rule: every root (rational) x (root of unity) in a degree-bounded cyclotomic
+extension of the entries' field, plus the roots of a quadratic remainder
+whose discriminant is such a number squared.
 """
 from __future__ import annotations
 
@@ -12,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, euler_phi, galois_apply, galois_group, one, rational,
-                         sort_key, zero, zeta)
+from .cyclotomic import (CycNum, euler_phi, one, rational, rational_parts, sort_key,
+                         unit_exp, unit_log, zero)
 from .errors import NotInvertible, ShapeError
-
-_INT_LIMIT = 4096  # rational-root candidates are skipped past this many divisors
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class Polynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __call__(self, x):
         """Evaluate at a CycNum or a square Matrix by Horner's rule."""
         if isinstance(x, Matrix):
@@ -50,29 +47,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial.of([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        out = [zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return Polynomial.of(out)
 
     def deflate(self, root: CycNum) -> Polynomial | None:
         """Divide by (x - root); None if root is not actually a root."""
@@ -294,63 +268,7 @@ def charpoly(a: Matrix) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Best-effort eigenvalue extraction inside the working cyclotomic field.
-
-def _int_divisors(n: int) -> list[int] | None:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-            if len(out) > _INT_LIMIT:
-                return None
-        d += 1
-    return sorted(out)
-
-
-def _norm_to_q(p: Polynomial, n: int) -> list[Fraction] | None:
-    # Product of the Galois conjugates of p; lands in Q[x] by invariance.
-    prod = p
-    for g in galois_group(n):
-        if g.exponent == 1:
-            continue
-        conj = Polynomial(tuple(galois_apply(c, g) for c in p.coeffs))
-        prod = prod * conj
-    out = []
-    for c in prod.coeffs:
-        if c.conductor != 1:
-            return None
-        out.append(c.as_rational())
-    return out
-
-
-def _rational_candidates(p: Polynomial, n: int) -> tuple[list[Fraction], int, int]:
-    """Rational-root-theorem candidates from the norm of p, together with the
-    integerized constant and leading norm coefficients."""
-    norm = _norm_to_q(p, n)
-    if norm is None:
-        return [], 0, 0
-    while norm and norm[0] == 0:
-        norm.pop(0)
-    if not norm:
-        return [], 0, 0
-    den = math.lcm(*[c.denominator for c in norm])
-    ints = [int(c * den) for c in norm]
-    a0, lead = ints[0], ints[-1]
-    tops, bots = _int_divisors(a0), _int_divisors(lead)
-    if tops is None or bots is None:
-        return [], a0, lead
-    seen = set()
-    for t in tops:
-        for b in bots:
-            seen.add(Fraction(t, b))
-            seen.add(Fraction(-t, b))
-    order = sorted(seen, key=lambda f: (abs(f) != 1, abs(f.numerator) + f.denominator, f))
-    return order, a0, lead
-
+# Eigenvalues of the form (rational) x (root of unity), plus quadratic remainders.
 
 @lru_cache(maxsize=None)
 def _extension_conductor(n: int, r: int) -> int:
@@ -368,90 +286,129 @@ def _extension_conductor(n: int, r: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _unit_candidates(n: int) -> tuple[CycNum, ...]:
-    # The roots of unity +-zeta_n^j, first appearance kept (for even n the
-    # two sign families overlap).
-    units = []
-    for j in range(n):
-        u = zeta(n, j)
-        units += (u, -u)
-    return tuple(dict.fromkeys(units))
-
-
-def _find_one_root(p: Polynomial, n: int, unit_n: int) -> CycNum | None:
-    if not p.coeffs[0]:
-        return zero()
-    units = _unit_candidates(unit_n)
-    for u in units:  # quasi-unipotent roots first
-        if not p(u):
-            return u
-    rats, norm_const, norm_lead = _rational_candidates(p, n)
-    for c in rats:
-        if abs(c) == 1:
-            continue  # covered by the unit scan
-        cand = rational(c)
-        if not p(cand):
-            return cand
-        # A root c u with u of conductor >= 3 has minimal polynomial with
-        # constant +-c^phi and phi >= 2, so c^2 must divide the norm ratio.
-        if norm_const % c.numerator ** 2 or norm_lead % c.denominator ** 2:
-            continue
-        for u in units:
-            if u.conductor > 2:
-                v = cand * u
-                if not p(v):
-                    return v
-    return None
-
-
-def _sqrt_in_field(d: CycNum, n: int, unit_n: int) -> CycNum | None:
-    # Square roots of the form rational * root of unity only.
-    if not d:
-        return zero()
-    norm = _norm_to_q(Polynomial.of([d]), n)
-    if norm is None:
+def _rational_sqrt(f: Fraction) -> Fraction | None:
+    """The exact square root of f >= 0, or None if f is not a rational square."""
+    if f < 0:
         return None
-    nd = norm[0]
-    if nd == 0:
-        return None
-    phi = len(galois_group(n)) or 1
-    c = _nth_root(abs(nd), 2 * phi)
-    if c is None:
-        return None
-    base = rational(c)
-    for u in _unit_candidates(unit_n):
-        w = base * u
-        if w * w == d:
-            return w
-    return None
-
-
-def _nth_root(f: Fraction, k: int) -> Fraction | None:
-    def iroot(m: int) -> int | None:
-        lo, hi = 0, 1 << (m.bit_length() // k + 1)  # the root is below hi
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid ** k <= m:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo if lo ** k == m else None
-    num, den = iroot(f.numerator), iroot(f.denominator)
-    if num is None or den is None:
+    num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if num * num != f.numerator or den * den != f.denominator:
         return None
     return Fraction(num, den)
 
 
-def eigenvalues_split(a: Matrix) -> tuple[CycNum, ...] | None:
+def _horner(f: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_sequence(f: list[Fraction]) -> list[list[Fraction]]:
+    # f, f', then minus each remainder of the previous two, down to a constant.
+    seq = [f, [i * c for i, c in enumerate(f)][1:]]
+    while len(seq[-1]) > 1:
+        r, g = list(seq[-2]), seq[-1]
+        while len(r) >= len(g):
+            q = r[-1] / g[-1]
+            for i, c in enumerate(g, len(r) - len(g)):
+                r[i] -= q * c
+            r.pop()
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_horner(f, x) for f in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _rational_roots(f: list[Fraction]) -> list[Fraction]:
+    """The distinct rational roots of the monic rational polynomial f (lowest
+    degree first, degree at least 2).
+
+    Degree 2 is the quadratic formula with an exact square root.  Above it, a
+    rational root is k / lead for an integer k, lead the lcm of f's
+    denominators; Sturm counts at the half-integer points (2k + 1) / (2 lead),
+    which are never roots, bisect the range of k down to single candidates.
+    """
+    if len(f) == 3:
+        b, c = f[1], f[0]
+        s = _rational_sqrt(b * b - 4 * c)
+        return [] if s is None else list(dict.fromkeys([(s - b) / 2, (-s - b) / 2]))
+    lead = math.lcm(*(c.denominator for c in f))
+    seq = _sturm_sequence(f)
+
+    def changes(k: int) -> int:
+        return _sign_changes(seq, Fraction(2 * k + 1, 2 * lead))
+    top = int((1 + max(abs(c) for c in f)) * lead) + 1  # Cauchy: |root| < 1 + max |c|
+    roots, ranges = [], [(-top - 1, top)]  # the candidates k / lead with lo < k <= hi
+    while ranges:
+        lo, hi = ranges.pop()
+        if changes(lo) == changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            ranges += [(lo, mid), (mid, hi)]
+        elif not _horner(f, Fraction(hi, lead)):
+            roots.append(Fraction(hi, lead))
+    return roots
+
+
+def _unit_root(p: Polynomial, big_n: int) -> CycNum | None:
+    """A root c u of p with c rational and u^big_n = 1, or None if there is none.
+
+    c u is a root exactly when c is a rational root of the monic
+    q_u(y) = p(u y) / (lead u^d), whose coefficients are those of p / lead
+    times powers of u.  The rational part pi is Q-linear and fixes Q, so
+    every such c is also a root of the rational polynomial pi(q_u); each of
+    those candidates is checked exactly.  u and -u give the same roots, and
+    big_n is even, so u = zeta_big_n^j with j < big_n / 2 covers every unit.
+    """
+    if not p.coeffs[0]:
+        return zero()
+    d, lead = p.degree(), p.coeffs[-1]
+    parts = [rational_parts(c / lead, big_n) for c in p.coeffs[:-1]]
+    for j in range(big_n // 2):
+        proj = [parts[i][j * (i - d) % big_n] for i in range(d)] + [Fraction(1)]
+        for c in _rational_roots(proj):
+            if c:
+                root = rational(c) * unit_exp(Fraction(j, big_n))
+                if not p(root):
+                    return root
+    return None
+
+
+def _unit_sqrt(disc: CycNum, big_n: int) -> CycNum | None:
+    """A square root of disc of the form c u with c rational and u^big_n = 1.
+
+    disc = c^2 u^2 has content c^2, because a root of unity has coprime
+    integer coordinates; so disc over its content must be a root of unity and
+    the content a rational square.
+    """
+    if not disc:
+        return zero()
+    content = Fraction(math.gcd(*disc.num), disc.den)
+    c, a = _rational_sqrt(content), unit_log(disc / rational(content))
+    if c is None or a is None:
+        return None
+    w = rational(c) * unit_exp(a / 2)
+    return w if big_n % w.conductor == 0 else None
+
+
+def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum, ...] | None:
     """The eigenvalue multiset when the characteristic polynomial splits over
     the working field (the field generated by the entries, together with its
-    degree-bounded cyclotomic extensions); None otherwise.
+    degree-bounded cyclotomic extensions); None otherwise.  ``poly``, when
+    given, is the characteristic polynomial of ``a``, already computed.
 
-    The root search tries roots of unity up to the extension conductor,
-    rational candidates from the rational root theorem applied to the norm of
-    the polynomial, products of the two, and (in degree 2) the discriminant
-    when its square root exists among those candidates.
+    The rule: deflate every root c u with c rational and u a root of unity in
+    the extension (see ``_unit_root``); a quadratic remainder splits when its
+    discriminant is a rational square times such a root of unity; a linear
+    remainder always does.
 
     >>> eigenvalues_split(Matrix.from_rows([[1, 1], [0, 1]]))
     (CycNum(1), CycNum(1))
@@ -462,7 +419,7 @@ def eigenvalues_split(a: Matrix) -> tuple[CycNum, ...] | None:
     tri = _triangular_diagonal(a)
     if tri is not None:
         return tuple(sorted(tri, key=sort_key))
-    return poly_roots_in_field(charpoly(a), n)
+    return poly_roots_in_field(charpoly(a) if poly is None else poly, n)
 
 
 def _triangular_diagonal(a: Matrix) -> list[CycNum] | None:
@@ -475,32 +432,25 @@ def _triangular_diagonal(a: Matrix) -> list[CycNum] | None:
 
 
 def poly_roots_in_field(p: Polynomial, n: int) -> tuple[CycNum, ...] | None:
-    """All roots of p with multiplicity, searched over Q(zeta_n) together with
-    its degree-bounded cyclotomic extensions; None when the search fails."""
+    """All roots of p with multiplicity, over Q(zeta_n) together with its
+    degree-bounded cyclotomic extensions, by the rule of ``eigenvalues_split``;
+    None when p does not split that way."""
     if p.degree() < 1:
         return ()
-    unit_n = _extension_conductor(n, p.degree())
+    big_n = _extension_conductor(n, p.degree())
     roots: list[CycNum] = []
-    while p.degree() > 0:
-        if p.degree() == 1:
-            roots.append(-p.coeffs[0] / p.coeffs[1])
-            break
-        root = _find_one_root(p, n, unit_n)
-        if root is not None:
-            roots.append(root)
-            p = p.deflate(root)
-            assert p is not None
-            continue
-        if p.degree() == 2:
-            # Candidate search failed; fall back to the discriminant.
-            c0, c1, c2 = p.coeffs
-            disc = c1 * c1 - rational(4) * c2 * c0
-            w = _sqrt_in_field(disc, n, unit_n)
-            if w is None:
-                return None
-            half = rational(Fraction(1, 2)) * c2.inverse()
-            roots.append((-c1 + w) * half)
-            roots.append((-c1 - w) * half)
-            break
+    while p.degree() > 1 and (root := _unit_root(p, big_n)) is not None:
+        roots.append(root)
+        p = p.deflate(root)
+    if p.degree() > 2:
         return None
+    if p.degree() == 2:
+        c0, c1, c2 = p.coeffs
+        w = _unit_sqrt(c1 * c1 - rational(4) * c2 * c0, big_n)
+        if w is None:
+            return None
+        half = rational(Fraction(1, 2)) * c2.inverse()
+        roots += [(-c1 + w) * half, (-c1 - w) * half]
+    elif p.degree() == 1:
+        roots.append(-p.coeffs[0] / p.coeffs[1])
     return tuple(sorted(roots, key=sort_key))

@@ -266,7 +266,7 @@ def mon(t: MonodromyTuple) -> MonData:
     """Per-puncture characteristic polynomials of the local monodromy, plus
     the eigenvalue data when every factor splits over the working field."""
     polys = tuple(charpoly(g) for g in t.matrices)
-    evs = [eigenvalues_split(g) for g in t.matrices]
+    evs = [eigenvalues_split(g, p) for g, p in zip(t.matrices, polys)]
     eigen = None
     if all(e is not None for e in evs):
         eigen = EigenData.of(evs)

@@ -141,11 +141,18 @@ def eigen_to_json(e: EigenData) -> dict:
             "points": [[cyc_to_json(v) for v in pt] for pt in e.points]}
 
 
+def _points_from_json(obj, what: str, decode) -> list[list]:
+    # The 'points' of eigenvalue or residue data: a non-empty list of lists.
+    pts = obj.get("points")
+    _require(isinstance(pts, list) and pts, f"{what}: 'points' must be a non-empty list")
+    _require(all(isinstance(pt, list) for pt in pts), f"{what}: each point must be a list")
+    return [[decode(v) for v in pt] for pt in pts]
+
+
 def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
     check_keys(obj, {"r", "s", "points"}, "eigenvalue data")
-    pts = obj.get("points")
-    _require(isinstance(pts, list) and pts, "eigenvalue data: 'points' must be a non-empty list")
-    e = EigenData.of([[cyc_from_json(v, "eigenvalue", conductor_cap) for v in pt] for pt in pts])
+    e = EigenData.of(_points_from_json(obj, "eigenvalue data",
+                                       lambda v: cyc_from_json(v, "eigenvalue", conductor_cap)))
     _enforce_conductor_cap((v for pt in e.points for v in pt), conductor_cap)
     if "r" in obj:
         _require(obj["r"] == e.rank, "eigenvalue data: declared rank disagrees")
@@ -161,9 +168,8 @@ def residues_to_json(rd: ResidueData) -> dict:
 
 def residues_from_json(obj) -> ResidueData:
     check_keys(obj, {"r", "s", "points"}, "residue data")
-    pts = obj.get("points")
-    _require(isinstance(pts, list) and pts, "residue data: 'points' must be a non-empty list")
-    rd = ResidueData.of([[rational_from_json(a, "residue") for a in pt] for pt in pts])
+    rd = ResidueData.of(_points_from_json(obj, "residue data",
+                                          lambda a: rational_from_json(a, "residue")))
     if "r" in obj:
         _require(obj["r"] == rd.rank, "residue data: declared rank disagrees")
     if "s" in obj:

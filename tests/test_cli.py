@@ -1,13 +1,15 @@
 import json
 import math
+import time
 
 import pytest
 
 from conftest import legendre_eigen, legendre_tuple
-from rigidmono import Matrix, zeta
+from rigidmono import Matrix, rational, sort_key, zeta
 from rigidmono import serialize as wire
 from rigidmono import cli
 from rigidmono.cli import COMMANDS, main
+from rigidmono.errors import SchemaError
 
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
 
@@ -190,8 +192,8 @@ def test_working_conductor_above_cap_exit_3_before_validation(capsys):
 
 
 def test_huge_discriminant_exit_0(capsys):
-    # 4M is far above the float range, and M has too many divisors for the
-    # rational candidate search, so the exact square-root test decides.
+    # 4M is far above the float range: the roots +-i sqrt(M) of x^2 + M and
+    # the discriminant 1 - 4M of the third factor are decided exactly.
     m = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]) ** 18
     g1, g2 = Matrix.from_rows([[0, -m], [1, 0]]), Matrix.from_rows([[1, 1], [0, 1]])
     mats = [g1, g2, (g1 @ g2).inverse()]
@@ -199,6 +201,44 @@ def test_huge_discriminant_exit_0(capsys):
     status, out = run_cli(capsys, "mon", "--input", payload)
     assert status == 0
     assert json.loads(out)["eigen"] is None
+
+
+def test_semiprime_norm_exit_0_quickly(capsys):
+    # x^2 - x + N with N = 1000000007 * 998244353: trial division of the norm
+    # up to its square root never returned; the rule needs no divisors.
+    n = 1000000007 * 998244353
+    g1, g2 = Matrix.from_rows([[0, -n], [1, 1]]), Matrix.from_rows([[1, 1], [0, 1]])
+    mats = [g1, g2, (g1 @ g2).inverse()]
+    payload = json.dumps({"matrices": [wire.matrix_to_json(g) for g in mats]})
+    start = time.perf_counter()
+    status, out = run_cli(capsys, "mon", "--input", payload)
+    assert time.perf_counter() - start < 2
+    assert status == 0
+    assert json.loads(out)["eigen"] is None
+
+
+def test_rank3_eigenvalues_outside_the_entry_field(capsys):
+    # C is the companion matrix of (x^2 - 4 zeta_6)(x - 5) over Q(zeta_3);
+    # its roots +-2 zeta_12 lie outside Q(zeta_3).
+    z6 = zeta(6)
+    c = Matrix.from_rows([[0, 0, -20 * z6], [1, 0, 4 * z6], [0, 1, 5]])
+    mats = [c, c.inverse(), Matrix.identity(3)]
+    payload = json.dumps({"matrices": [wire.matrix_to_json(g) for g in mats]})
+    status, out = run_cli(capsys, "mon", "--input", payload)
+    assert status == 0
+    roots = sorted([rational(5), 2 * zeta(12), -2 * zeta(12)], key=sort_key)
+    assert json.loads(out)["eigen"]["points"][0] == [wire.cyc_to_json(v) for v in roots]
+
+
+def test_non_list_points_exit_1(capsys):
+    for point in (5, "12", None):
+        payload = json.dumps({"points": [point, ["1", "1"], ["1", "1"]]})
+        status, out = run_cli(capsys, "classify", "--input", payload)
+        assert status == 1
+        assert json.loads(out)["error"] == "schema-error"
+        residues = {"r": 2, "s": 3, "points": [point, ["0", "0"], ["0", "0"]]}
+        with pytest.raises(SchemaError):
+            wire.residues_from_json(residues)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

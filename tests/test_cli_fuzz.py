@@ -1,0 +1,148 @@
+"""Every CLI input ends in an exit status from 0 to 3, never a traceback.
+
+Derandomized ``hypothesis`` fuzzing of all seven commands: JSON trees built
+from the commands' own keys, with small scalars (conductors up to 12,
+integers up to 10^3), some well-formed and some not.
+"""
+import contextlib
+import io
+import json
+import sys
+from datetime import timedelta
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigidmono import Matrix, rational, zeta
+from rigidmono import serialize as wire
+from rigidmono.cli import COMMANDS, _TORI_OPS, main
+
+KEYS = ["r", "s", "matrices", "rows", "cols", "entries", "n", "c", "k", "points", "eigen",
+        "spec", "triple", "geometry", "genus", "degH", "op", "coset", "point", "a", "b",
+        "matrix", "formula", "args", "order_bound", "N", "L", "tau", "empty"]
+OPS = sorted(_TORI_OPS) + ["union", "intersection", "complement"]
+
+ints = st.integers(-1000, 1000)
+small = st.integers(-3, 12)
+fractions = st.builds("{}/{}".format, ints, st.integers(-2, 1000))
+cycnums = st.fixed_dictionaries({"n": st.integers(-1, 12),
+                                 "c": st.lists(st.one_of(small, fractions), max_size=13)})
+scalars = st.one_of(small, fractions, cycnums)
+leaves = st.one_of(st.none(), st.booleans(), ints, fractions, cycnums,
+                   st.sampled_from(KEYS + OPS))
+trees = st.recursive(
+    leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.sampled_from(KEYS), kids, max_size=4)),
+    max_leaves=24)
+values = st.one_of(scalars, trees)
+
+
+@st.composite
+def matrices(draw, size=None):
+    size = size or draw(st.integers(1, 3))
+    entries = draw(st.lists(scalars, min_size=size * size, max_size=size * size))
+    return {"rows": size, "cols": size, "entries": entries}
+
+
+@st.composite
+def closed_tuples(draw):
+    # Rational factors closed by the inverse of their product: a valid tuple
+    # whenever the drawn factors are invertible.
+    size, s = draw(st.integers(1, 3)), draw(st.integers(3, 4))
+    mats = []
+    for _ in range(s - 1):
+        ent = draw(st.lists(st.integers(-4, 4), min_size=size * size, max_size=size * size))
+        m = Matrix(size, size, tuple(rational(x) for x in ent))
+        if not m.det():
+            return {"matrices": [wire.matrix_to_json(m)]}
+        mats.append(m)
+    prod = Matrix.identity(size)
+    for m in mats:
+        prod = prod @ m
+    mats.append(prod.inverse())
+    return {"matrices": [wire.matrix_to_json(m) for m in mats]}
+
+
+tuples = st.one_of(
+    closed_tuples(),
+    st.fixed_dictionaries({"matrices": st.lists(st.one_of(matrices(2), values), max_size=4)},
+                          optional={"r": small, "s": small}))
+units = st.builds(lambda n, k: wire.cyc_to_json(zeta(n, k)), st.integers(1, 12), st.integers(0, 11))
+good_scalars = st.one_of(st.integers(1, 1000), st.builds("{}/{}".format, ints, st.integers(1, 9)),
+                         units)
+
+
+def good_eigens(s):
+    return st.fixed_dictionaries({"points": st.lists(
+        st.lists(st.one_of(units, good_scalars), min_size=2, max_size=2), min_size=s, max_size=s)})
+
+
+def good_specs(s):
+    return st.fixed_dictionaries(
+        {"s": st.just(s), "triple": st.permutations(range(1, s + 1)).map(lambda p: sorted(p[:3]))})
+
+
+points = st.one_of(st.lists(scalars, min_size=1, max_size=3), values)
+eigens = st.one_of(st.integers(3, 4).flatmap(good_eigens), st.fixed_dictionaries(
+    {"points": st.lists(points, min_size=1, max_size=4)}, optional={"r": small, "s": small}))
+specs = st.fixed_dictionaries({"s": small, "triple": st.lists(small, max_size=4)})
+geometries = st.fixed_dictionaries({"genus": st.integers(-1, 3), "degH": st.integers(-1, 3)})
+
+
+@st.composite
+def cosets(draw, dim=None):
+    n = dim or draw(st.integers(-1, 3))
+    width = st.integers(0, 3) if dim is None else st.just(dim)
+    return {"N": n,
+            "L": draw(st.lists(width.flatmap(lambda w: st.lists(small, min_size=w, max_size=w)),
+                               max_size=3)),
+            "tau": draw(width.flatmap(lambda w: st.lists(st.one_of(small, fractions),
+                                                         min_size=w, max_size=w))),
+            **({"empty": True} if draw(st.integers(0, 9)) == 0 else {})}
+
+
+@st.composite
+def tori_requests(draw):
+    n = draw(st.one_of(st.integers(1, 3), st.none()))
+    args = {"coset": cosets(n), "a": cosets(n), "b": cosets(n),
+            "point": st.lists(fractions, min_size=n or 0, max_size=n or 4),
+            "matrix": st.lists(st.lists(small, min_size=n or 0, max_size=n or 3), max_size=3),
+            "order_bound": st.integers(-1, 12),
+            "formula": st.recursive(cosets(n), lambda kids: st.fixed_dictionaries(
+                {"op": st.sampled_from(OPS), "args": st.lists(kids, max_size=3)}), max_leaves=4),
+            "s": st.integers(-1, 4), "triple": st.lists(st.integers(0, 4), max_size=4)}
+    op = draw(st.one_of(st.sampled_from(sorted(_TORI_OPS)), st.sampled_from(OPS), values))
+    keys = _TORI_OPS[op][0] if isinstance(op, str) and op in _TORI_OPS else set(args)
+    return {"op": op, **{k: draw(args[k]) for k in keys if draw(st.integers(0, 9))}}
+
+
+PAYLOADS = {
+    "check": tuples,
+    "mon": tuples,
+    "orbit": tuples,
+    "classify": eigens,
+    "construct": st.one_of(
+        st.integers(3, 4).flatmap(lambda s: st.fixed_dictionaries(
+            {"eigen": good_eigens(s), "spec": good_specs(s)})),
+        st.fixed_dictionaries({"eigen": eigens, "spec": specs})),
+    "derham": st.fixed_dictionaries({"eigen": eigens, "geometry": geometries}),
+    "tori": tori_requests(),
+}
+assert set(PAYLOADS) == set(COMMANDS)
+
+
+@settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
+@given(st.sampled_from(COMMANDS).flatmap(
+           lambda cmd: st.tuples(st.just(cmd), st.one_of(PAYLOADS[cmd], values))),
+       st.booleans())
+def test_every_input_exits_0_to_3(request, batch):
+    command, payload = request
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(json.dumps([payload] if batch else payload))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main([command, "--input", "-"] + (["--batch"] if batch else []))
+    finally:
+        sys.stdin = stdin
+    assert status in (0, 1, 2, 3)

@@ -61,3 +61,11 @@ def test_mon_computes_each_determinant_once(monkeypatch, capsys):
     monkeypatch.setattr(Matrix, "det", counted)
     _run(capsys, "mon", "--input", LEGENDRE_JSON)
     assert dets == factors
+
+
+def test_mon_computes_each_charpoly_once(monkeypatch, capsys):
+    # The Legendre tuple has one non-triangular factor, whose characteristic
+    # polynomial the eigenvalue search reuses.
+    charpolys = _count_calls(monkeypatch, "charpoly")
+    _run(capsys, "mon", "--input", LEGENDRE_JSON)
+    assert len(charpolys) == 3

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rigidmono import (Matrix, Polynomial, charpoly, eigenvalues_split, one, rank_and_kernel_dim,
                        rational, sort_key, zeta)
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import _nth_root, poly_roots_in_field
+from rigidmono.linalg import _rational_roots, _rational_sqrt, poly_roots_in_field
 
 M = Matrix.from_rows
 POOL = [rational(x) for x in (0, 1, -1, 2, Fraction(1, 2))] + [zeta(3), zeta(4), zeta(3) + 1]
@@ -143,6 +146,74 @@ def test_eigenvalues_on_conjugated_units():
         d = M([[vals[0], 0], [0, vals[1]]])
         h = rng.choice(conjugators)
         assert eigenvalues_split(h @ d @ h.inverse()) == _sorted(vals)
+    # Rational multiples c u of roots of unity, c != +-1.
+    for n in (1, 3, 4, 5, 8, 12, 24, 60):
+        for c in (2, 3, Fraction(1, 2), Fraction(-1, 3)):
+            vals = [rational(c) * zeta(n, rng.randrange(n)), zeta(n, rng.randrange(n))]
+            d = M([[vals[0], 0], [0, vals[1]]])
+            h = rng.choice(conjugators)
+            assert eigenvalues_split(h @ d @ h.inverse()) == _sorted(vals), (n, c)
+
+
+def test_eigenvalues_past_the_old_divisor_cap():
+    # The norm's constant term c^4 |1 + i|^4 has over 4096 divisors, past
+    # which a rational-root-theorem search gave up; the rule needs none.
+    c = rational(2 * 3 * 5 * 7 * 11 * 13)
+    vals = [c * zeta(3), 1 + zeta(4)]
+    h = M([[1, 1], [1, 2]])
+    assert eigenvalues_split(h @ M([[vals[0], 0], [0, vals[1]]]) @ h.inverse()) == _sorted(vals)
+
+
+def _is_square(f: Fraction) -> bool:
+    return f >= 0 and all(math.isqrt(v) ** 2 == v for v in (f.numerator, f.denominator))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4)),
+                min_size=4, max_size=4))
+def test_rational_factors_split_by_the_discriminant(entries):
+    # Over Q the reachable roots are c u with u^12 = 1: a quadratic splits when
+    # its discriminant is a square or minus a square (roots in Q or Q(i)), or
+    # when tr^2 = det (roots tr zeta_6^(+-1)).
+    a, b, c, d = entries
+    tr, det = a + d, a * d - b * c
+    assume(det != 0)
+    ev = eigenvalues_split(M([[a, b], [c, d]]))
+    disc = tr * tr - 4 * det
+    assert (ev is not None) == (_is_square(disc) or _is_square(-disc) or tr * tr == det)
+    if ev is not None:
+        assert ev[0] + ev[1] == rational(tr) and ev[0] * ev[1] == rational(det)
+
+
+def test_rank3_roots_outside_the_entry_field():
+    # (x^2 - 4 zeta_6)(x - 5) over Q(zeta_3): deflating 2 zeta_12 leaves
+    # coefficients outside Q(zeta_3), which the rule handles like any other.
+    z6 = zeta(6)
+    expected = _sorted([rational(5), rational(2) * zeta(12), rational(-2) * zeta(12)])
+    p = Polynomial.of([20 * z6, -4 * z6, -5, 1])
+    assert poly_roots_in_field(p, 3) == expected
+    companion = M([[0, 0, -20 * z6], [1, 0, 4 * z6], [0, 1, 5]])
+    assert eigenvalues_split(companion) == expected
+
+
+def test_rational_roots_of_higher_degree():
+    # Products of linear factors and a quadratic, against the rational root
+    # theorem on the integerized polynomial.
+    rng = random.Random(11)
+    for _ in range(60):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        poly = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(-5, 5)),
+                Fraction(1)]
+        for r in roots:
+            poly = [a - r * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        lead = math.lcm(*(c.denominator for c in poly))
+        ints = [int(c * lead) for c in poly]
+        k = next(i for i, c in enumerate(ints) if c)
+        want = {Fraction(0)} if k else set()
+        want |= {Fraction(sign * a, b) for a in range(1, abs(ints[k]) + 1) if ints[k] % a == 0
+                 for b in range(1, lead + 1) if lead % b == 0 for sign in (1, -1)
+                 if not sum(c * Fraction(sign * a, b) ** i for i, c in enumerate(poly))}
+        assert sorted(_rational_roots(poly)) == sorted(want)
 
 
 def test_polynomial_evaluation_and_deflation():
@@ -154,13 +225,16 @@ def test_polynomial_evaluation_and_deflation():
 
 
 def test_nth_root_is_exact_beyond_float_range():
-    assert _nth_root(Fraction(10 ** 400), 4) == 10 ** 100
-    assert _nth_root(Fraction(10 ** 400 + 1), 4) is None
-    assert _nth_root(Fraction(3 ** 200, 7 ** 300), 100) == Fraction(9, 343)
+    # The exact square root that decides quadratic remainders, on inputs far
+    # above the float range (a float root of 10**400 overflows).
+    assert _rational_sqrt(Fraction(10 ** 400)) == 10 ** 200
+    assert _rational_sqrt(Fraction(10 ** 400 + 1)) is None
+    assert _rational_sqrt(Fraction(3 ** 200, 7 ** 300)) == Fraction(3 ** 100, 7 ** 150)
+    assert _rational_sqrt(Fraction(-(10 ** 400))) is None
 
 
 def test_nth_root_matches_bruteforce():
-    for k in range(1, 7):
+    roots = {Fraction(a, b) ** 2: Fraction(a, b) for a in range(90) for b in range(1, 7)}
+    for den in range(1, 7):
         for m in range(200):
-            want = next((r for r in range(m + 1) if r ** k == m), None)
-            assert _nth_root(Fraction(m), k) == want
+            assert _rational_sqrt(Fraction(m, den)) == roots.get(Fraction(m, den))
