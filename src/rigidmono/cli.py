@@ -16,9 +16,11 @@ precondition violation, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import serialize as wire
 from .errors import BudgetExceeded, MathError, SchemaError
@@ -234,8 +236,35 @@ def _run_one(runner, payload, cfg: RunConfig) -> tuple[int, dict]:
         return 3, {"error": exc.code, "message": str(exc)}
 
 
+def _write(obj, out: list, indent: str):
+    # json.dumps(obj, indent=2, sort_keys=True) on dict, list, tuple, str, int, bool and None only.
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner = indent + "  "
+        for i, item in enumerate(obj):
+            out.append(",\n" + inner if i else "[\n" + inner)
+            _write(item, out, inner)
+        out.append("\n" + indent + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(obj)):
+            # _escape raises TypeError on a key that is not a str.
+            out.append((",\n" if i else "{\n") + inner + _escape(key) + ": ")
+            _write(obj[key], out, inner)
+        out.append("\n" + indent + "}" if obj else "{}")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not a report type")
+
+
 def _emit(report, output: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write(report, out, "")
+    text = "".join(out) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -272,8 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # one parser per process, built by the first main()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.describe_schema:
         _emit(_COMMANDS[args.describe_schema][1], args.output)

@@ -250,13 +250,18 @@ class CycNum:
     @classmethod
     def from_coeffs(cls, coeffs, n: int) -> CycNum:
         """The element sum(c_i zeta_n^i), reduced mod Phi_n, at minimal conductor."""
+        return cls.from_ratios([(c.numerator, c.denominator) for c in map(Fraction, coeffs)], n)
+
+    @classmethod
+    def from_ratios(cls, pairs, n: int) -> CycNum:
+        """:meth:`from_coeffs` with each c_i given as an integer pair (p_i, q_i), q_i != 0."""
         if n < 1:
             raise InvalidConductor(f"conductor must be positive, got {n}")
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > n:
+        if len(pairs) > n:
             raise InvalidConductor(f"coefficient list longer than conductor {n}")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        terms = ((k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs))
+        den = math.lcm(*(q for _, q in pairs))
+        # q | den, so p * (den // q) / den == p / q, whatever the sign of q.
+        terms = ((k, p * (den // q)) for k, (p, q) in enumerate(pairs))
         return _normalize(n, _combine(n, terms, euler_phi(n)), den)
 
     @property

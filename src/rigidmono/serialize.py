@@ -45,29 +45,37 @@ def _enforce_conductor_cap(values, cap: int | None):
 # -- rationals ---------------------------------------------------------------
 
 def rational_to_json(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(f)   # "p/q", or "p" when q == 1
 
 
-def rational_from_json(obj, what: str = "rational") -> Fraction:
+def _ratio_from_json(obj, what: str) -> tuple[int, int]:
+    # (p, q), q != 0, from a Fraction string, an int or a pair of ints or int strings (no bool).
     try:
         if isinstance(obj, str):
-            return Fraction(obj)
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, list) and len(obj) == 2:
-            return Fraction(int(obj[0]), int(obj[1]))
+            f = Fraction(obj)
+            return f.numerator, f.denominator
+        if type(obj) is int:
+            return obj, 1
+        if (isinstance(obj, list) and len(obj) == 2 and type(obj[0]) in (int, str)
+                and type(obj[1]) in (int, str)):
+            p, q = int(obj[0]), int(obj[1])
+            _require(q != 0, f"{what}: bad fraction {obj!r}")
+            return p, q
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
     raise SchemaError(f"{what}: expected a fraction string, got {obj!r}")
 
 
+def rational_from_json(obj, what: str = "rational") -> Fraction:
+    return Fraction(*_ratio_from_json(obj, what))
+
+
 # -- scalars -----------------------------------------------------------------
 
 def cyc_to_json(z: CycNum) -> dict:
+    den = z.den
     return {"n": z.conductor,
-            "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
+            "c": [[str(c // g), str(den // g)] for c in z.num for g in (math.gcd(c, den),)]}
 
 
 def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
@@ -79,9 +87,9 @@ def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | Non
     _require(isinstance(n, int) and n >= 1, f"{what}: bad conductor {n!r}")
     if conductor_cap is not None and n > conductor_cap:
         raise BudgetExceeded(f"{what}: declared conductor {n} exceeds the cap of {conductor_cap}")
-    _require(isinstance(obj["c"], list), f"{what}: 'c' must be a list")
-    coeffs = [rational_from_json(c, what) for c in obj["c"]]
-    return CycNum.from_coeffs(coeffs, n)
+    _require(isinstance(obj["c"], list) and len(obj["c"]) <= n,
+             f"{what}: 'c' must be a list of at most n = {n} coordinates")
+    return CycNum.from_ratios([_ratio_from_json(c, what) for c in obj["c"]], n)
 
 
 def galois_to_json(g: GaloisElement) -> dict:

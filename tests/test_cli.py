@@ -266,3 +266,59 @@ def test_tori_unknown_op_exit_1(capsys, op):
     status, out = run_cli(capsys, "tori", "--input", json.dumps({"op": op}))
     assert status == 1
     assert "unknown op" in json.loads(out)["message"]
+
+
+def test_c_list_longer_than_conductor_exit_1(capsys):
+    # Two coordinates at conductor 1 are malformed input, not a bad conductor.
+    payload = json.dumps({"points": [[{"n": 1, "c": ["1", "2"]}, "1"], ["1", "1"], ["1", "1"]]})
+    status, out = run_cli(capsys, "classify", "--input", payload)
+    assert status == 1
+    assert json.loads(out)["error"] == "schema-error"
+    # The cap is checked before the length, so an over-cap entry still exits 3.
+    payload = json.dumps({"points": [[{"n": 300, "c": ["1"] * 301}, "1"], ["1", "1"],
+                                     ["1", "1"]]})
+    status, out = run_cli(capsys, "classify", "--input", payload)
+    assert status == 3
+    assert json.loads(out)["error"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("scalar", [
+    {"n": 4, "c": ["0", ["1", None]]},
+    {"n": 4, "c": ["0", [[1], 3]]},
+    {"n": 4, "c": ["0", [1.5, 1]]},
+    {"n": 4, "c": ["0", [True, 1]]},
+    {"n": 4, "c": ["0", [1, False]]},
+    {"n": 4, "c": ["0", True]},
+    {"n": 4, "c": ["0", 1.5]},
+    {"n": 4, "c": ["0", ["1", "0"]]},
+    {"n": 4, "c": ["0", ["1.5", "1"]]},
+    True,
+    1.5,
+])
+def test_bad_scalar_parts_exit_1(capsys, scalar):
+    # A pair part is an int (not a bool) or an integer string: anything else
+    # used to end in a TypeError, be truncated (1.5 -> 1) or read as 1 (true).
+    payload = json.dumps({"points": [[scalar, "1"], ["1", "1"], ["1", "1"]]})
+    status, out = run_cli(capsys, "classify", "--input", payload)
+    assert status == 1
+    assert json.loads(out)["error"] == "schema-error"
+
+
+def test_pair_spellings_decode_exactly(capsys):
+    # [p, q] pairs of ints or integer strings, with q of either sign.
+    spelled = {"n": 4, "c": [["-2", "-4"], [3, -6]]}
+    payload = json.dumps({"points": [[spelled, "1"], ["1", "1"], ["1", "1"]]})
+    status, out = run_cli(capsys, "classify", "--input", payload)
+    assert status == 0
+    assert wire.cyc_from_json(spelled) == rational(1) / 2 - zeta(4) / 2
+
+
+def test_parser_keeps_no_state_across_calls(capsys):
+    # The parser is built once per process; a flag of one call must not leak
+    # into the next.
+    payload = json.dumps({"op": "enumerate", "coset": {"N": 1, "L": [], "tau": ["0"]}})
+    _, bound3 = run_cli(capsys, "tori", "--order-bound", "3", "--input", payload)
+    _, default = run_cli(capsys, "tori", "--input", payload)
+    _, bound12 = run_cli(capsys, "tori", "--order-bound", "12", "--input", payload)
+    assert default == bound12 != bound3
+    assert len(json.loads(default)["points"]) > len(json.loads(bound3)["points"])

@@ -2,7 +2,8 @@
 
 Derandomized ``hypothesis`` fuzzing of all seven commands: JSON trees built
 from the commands' own keys, with small scalars (conductors up to 12,
-integers up to 10^3), some well-formed and some not.
+integers up to 10^3, ``[p, q]`` pairs), some well-formed and some not.  A
+malformed scalar must exit 1, whatever it is malformed by.
 """
 import contextlib
 import io
@@ -25,8 +26,15 @@ OPS = sorted(_TORI_OPS) + ["union", "intersection", "complement"]
 ints = st.integers(-1000, 1000)
 small = st.integers(-3, 12)
 fractions = st.builds("{}/{}".format, ints, st.integers(-2, 1000))
-cycnums = st.fixed_dictionaries({"n": st.integers(-1, 12),
-                                 "c": st.lists(st.one_of(small, fractions), max_size=13)})
+# [p, q] pair parts: ints and integer strings (q zero or negative too), and
+# the null, float, bool and list parts a pair must refuse.
+good_parts = st.one_of(small, st.builds(str, st.integers(-12, 12)))
+bad_parts = st.one_of(st.none(), st.floats(-4, 4, allow_nan=False), st.booleans(),
+                      st.lists(small, max_size=2))
+pairs = st.lists(st.one_of(good_parts, bad_parts), min_size=2, max_size=2)
+# "c" lists run up to two coordinates past the declared conductor.
+cycnums = st.integers(-1, 12).flatmap(lambda n: st.fixed_dictionaries(
+    {"n": st.just(n), "c": st.lists(st.one_of(small, fractions, pairs), max_size=max(n, 0) + 2)}))
 scalars = st.one_of(small, fractions, cycnums)
 leaves = st.one_of(st.none(), st.booleans(), ints, fractions, cycnums,
                    st.sampled_from(KEYS + OPS))
@@ -114,7 +122,8 @@ def tori_requests(draw):
             "s": st.integers(-1, 4), "triple": st.lists(st.integers(0, 4), max_size=4)}
     op = draw(st.one_of(st.sampled_from(sorted(_TORI_OPS)), st.sampled_from(OPS), values))
     keys = _TORI_OPS[op][0] if isinstance(op, str) and op in _TORI_OPS else set(args)
-    return {"op": op, **{k: draw(args[k]) for k in keys if draw(st.integers(0, 9))}}
+    # sorted: set order varies with the hash seed, and the draws must not.
+    return {"op": op, **{k: draw(args[k]) for k in sorted(keys) if draw(st.integers(0, 9))}}
 
 
 PAYLOADS = {
@@ -146,3 +155,34 @@ def test_every_input_exits_0_to_3(request, batch):
     finally:
         sys.stdin = stdin
     assert status in (0, 1, 2, 3)
+
+
+def _classify_status(scalar):
+    payload = json.dumps({"points": [[scalar, "1"], ["1", "1"], ["1", "1"]]})
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["classify", "--input", payload])
+
+
+good_coords = st.one_of(small, st.builds("{}/{}".format, ints, st.integers(1, 1000)),
+                        st.tuples(good_parts, good_parts.filter(lambda q: int(q))).map(list))
+bad_coords = st.one_of(st.none(), st.floats(-4, 4, allow_nan=False), st.booleans(),
+                       st.lists(good_parts, max_size=1), st.lists(good_parts, min_size=3, max_size=3),
+                       st.tuples(good_parts, bad_parts).map(list),
+                       st.tuples(bad_parts, good_parts).map(list),
+                       st.tuples(good_parts, st.sampled_from([0, "0", "-0"])).map(list))
+
+
+@settings(max_examples=150, derandomize=True, deadline=timedelta(seconds=5))
+@given(st.integers(1, 12).flatmap(
+           lambda n: st.tuples(st.just(n), st.lists(good_coords, max_size=n))),
+       bad_coords, st.data())
+def test_malformed_scalars_exit_1(well_formed, bad, data):
+    # One bad coordinate among good ones, a bad bare scalar, or one
+    # coordinate too many: each is a schema error, never exit 0, 2 or 3.
+    n, coords = well_formed
+    at = data.draw(st.integers(0, len(coords)))
+    assert _classify_status({"n": n, "c": coords[:at] + [bad] + coords[at:]}) == 1
+    assert _classify_status(bad) == 1
+    extra = data.draw(st.lists(good_coords, min_size=n + 1 - len(coords),
+                               max_size=n + 2 - len(coords)))
+    assert _classify_status({"n": n, "c": coords + extra}) == 1

@@ -1,0 +1,50 @@
+"""The CLI's report writer against ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+Reports are written by a one-pass writer in ``rigidmono.cli``; it must give
+the same text as ``json.dumps`` on every JSON tree of the types reports are
+built from, and refuse anything else with ``TypeError``.
+"""
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigidmono import cli
+
+
+def dumps(obj) -> str:
+    out = []
+    cli._write(obj, out, "")
+    return "".join(out)
+
+
+texts = st.one_of(st.text(max_size=8),
+                  st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f", "\n\t\r", "\x7f",
+                                   "é", "Ω ζ_n", "😀", " ", "a/b", ""]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-2 ** 200, 2 ** 200), texts)
+trees = st.recursive(
+    scalars,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(texts, kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(trees)
+def test_writer_equals_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_writer_on_empty_and_nested_containers():
+    for obj in ([], {}, (), [[]], {"a": {}}, [{}, [], ()], {"b": [{"c": [[], {}]}], "a": ()}):
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"a": [1, {"b": 2.5}]}, {1: "a"}, {"a": {None: 1}},
+                                 {(1, 2): 3}, {1, 2}, b"x", object()])
+def test_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random_tuple
-from rigidmono import (ComponentSpec, GaloisElement, TorsionCoset, TorusFormula, deligne_residues,
-                       rational, zeta)
+from rigidmono import (ComponentSpec, CycNum, GaloisElement, TorsionCoset, TorusFormula,
+                       deligne_residues, rational, zeta)
+from rigidmono.cyclotomic import euler_phi
 from rigidmono import serialize as wire
 from rigidmono.errors import SchemaError
 
@@ -98,3 +101,74 @@ def test_formula_roundtrip():
 def test_formula_rejects_bad_op():
     with pytest.raises(SchemaError):
         wire.formula_from_json({"op": "xor", "args": [{"N": 1, "L": [[1]], "tau": ["0"]}]})
+
+
+# -- integer scalar codecs -----------------------------------------------------
+
+small_fractions = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def cycnums(draw):
+    n = draw(st.integers(1, 60))
+    coords = draw(st.lists(small_fractions, min_size=euler_phi(n), max_size=euler_phi(n)))
+    return CycNum.from_coeffs(coords, n)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(cycnums())
+def test_cyc_codec_roundtrip(z):
+    obj = wire.cyc_to_json(z)
+    # The integer encoder writes each coordinate as the Fraction one did.
+    assert obj == {"n": z.conductor,
+                   "c": [[str(c.numerator), str(c.denominator)] for c in z.coeffs]}
+    assert wire.cyc_from_json(obj) == z
+
+
+def fraction_of(c) -> F:
+    # Coordinates as the Fraction-building decoder read them.
+    return F(int(c[0]), int(c[1])) if isinstance(c, list) else F(c)
+
+
+spellings = st.sampled_from(["2/4", "+3", " 3 ", "1.5", "1e3", "3_000", "-7/21", "0", "-0/5",
+                             " -12/8\n", "2.5e-1"])
+pair_parts = st.one_of(st.integers(-30, 30), st.integers(-30, 30).map(str))
+denominators = st.integers(-12, 12).filter(bool)
+coordinates = st.one_of(
+    spellings,
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.tuples(pair_parts, st.one_of(denominators, denominators.map(str))).map(list))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(coordinates, max_size=n))))
+def test_integer_decoder_matches_the_fraction_path(case):
+    n, cs = case
+    z = wire.cyc_from_json({"n": n, "c": cs})
+    assert z == CycNum.from_coeffs([wire.rational_from_json(c) for c in cs], n)
+    # And against arithmetic that never builds a coordinate list.
+    ref = rational(0)
+    for k, c in enumerate(cs):
+        ref = ref + rational(fraction_of(c)) * zeta(n, k)
+    assert z == ref
+
+
+def test_rational_forms_accepted_and_refused():
+    for obj, value in [("2/4", F(1, 2)), ("+3", F(3)), (" 3 ", F(3)), ("1.5", F(3, 2)),
+                       ("1e3", F(1000)), ("3_000", F(3000)), (7, F(7)), (["1", "-2"], F(-1, 2)),
+                       ([3, -6], F(-1, 2)), ([" 4 ", "6"], F(2, 3))]:
+        assert wire.rational_from_json(obj) == value
+    for obj in [True, False, 1.5, None, ["1", None], [[1], 3], [1.5, 1], [True, 1], ["1", "0"],
+                [1, 0], ["1.5", "1"], [1, 2, 3], [1], {"p": 1}]:
+        with pytest.raises(SchemaError):
+            wire.rational_from_json(obj)
+        with pytest.raises(SchemaError):
+            wire.cyc_from_json({"n": 4, "c": ["0", obj]})
+
+
+def test_cyc_with_more_coordinates_than_its_conductor():
+    with pytest.raises(SchemaError):
+        wire.cyc_from_json({"n": 2, "c": ["1", "0", "1"]})
+    assert wire.cyc_from_json({"n": 2, "c": ["1", "1"]}) == rational(0)
