@@ -128,7 +128,7 @@ def _tori_intersect(obj, cfg: RunConfig) -> dict:
 def _tori_preimage(obj, cfg: RunConfig) -> dict:
     mat = obj.get("matrix")
     if not (isinstance(mat, list) and
-            all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in mat)):
+            all(isinstance(r, list) and all(wire.is_int(x) for x in r) for r in mat)):
         raise SchemaError("tori preimage: 'matrix' must be a list of integer rows")
     out = monomial_preimage(wire.coset_from_json(obj.get("coset")), mat)
     return {"coset": wire.coset_to_json(out)}
@@ -137,7 +137,7 @@ def _tori_preimage(obj, cfg: RunConfig) -> dict:
 def _tori_enumerate(obj, cfg: RunConfig) -> dict:
     c = wire.coset_from_json(obj.get("coset"))
     bound = obj.get("order_bound", cfg.order_bound)
-    if not isinstance(bound, int) or bound < 1:
+    if not wire.is_int(bound) or bound < 1:
         raise SchemaError("tori enumerate: 'order_bound' must be a positive integer")
     pts = enumerate_torsion(c, bound)
     return {"points": sorted([wire.rational_to_json(x) for x in p] for p in pts)}
@@ -151,8 +151,8 @@ def _tori_formula(obj, cfg: RunConfig) -> dict:
 
 def _tori_nonsimple_locus(obj, cfg: RunConfig) -> dict:
     s, triple = obj.get("s"), obj.get("triple")
-    if not (isinstance(s, int) and isinstance(triple, list)):
-        raise SchemaError("tori nonsimple_locus: needs integer 's' and list 'triple'")
+    if not (wire.is_int(s) and isinstance(triple, list) and all(wire.is_int(i) for i in triple)):
+        raise SchemaError("tori nonsimple_locus: needs integer 's' and integer list 'triple'")
     f = nonsimple_locus_formula(s, triple)
     q = wire.point_from_json(obj.get("point"))
     return {"value": formula_eval(f, q)}

@@ -68,7 +68,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """n times the product of (1 - 1/p) over the primes p dividing n."""
+    if n < 1:
+        raise InvalidConductor(f"conductor must be positive, got {n}")
+    for p in _prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -491,18 +496,12 @@ def sort_key(z: CycNum):
     return (z.conductor, z.coeffs)
 
 
-def _unit_lookup(z: CycNum) -> tuple[int, int] | None:
-    # (sign, exponent) with z = sign * zeta_n^exponent, or None.
-    if not z or z.den != 1:
-        return None
-    return _unit_index(z.conductor).get(z.num)
-
-
 def root_of_unity_order(z: CycNum) -> int | None:
     """The least m with z**m == 1, or None if z is not a root of unity.
 
     Roots of unity in Q(zeta_n) are exactly +-zeta_n^j, so an exact table
-    lookup against those 2n candidates decides the question.
+    lookup against those 2n candidates decides the question; the order of
+    e^(2 pi i a) is the denominator of a = unit_log(z).
 
     >>> root_of_unity_order(rational(-1))
     2
@@ -511,19 +510,14 @@ def root_of_unity_order(z: CycNum) -> int | None:
     >>> root_of_unity_order(rational(1) + zeta(4)) is None
     True
     """
-    hit = _unit_lookup(z)
-    if hit is None:
-        return None
-    sign, j = hit
-    n = z.conductor
-    if sign > 0:
-        return n // math.gcd(n, j)
-    return 2 * n // math.gcd(2 * n, n + 2 * j)
+    a = unit_log(z)
+    return None if a is None else a.denominator
 
 
 def unit_log(z: CycNum) -> Fraction | None:
     """The a in [0, 1) with z = e^(2 pi i a), or None if z is not a root of unity."""
-    hit = _unit_lookup(z)
+    # (sign, exponent) with z = sign * zeta_n^exponent; a root of unity is integral.
+    hit = _unit_index(z.conductor).get(z.num) if z.den == 1 else None
     if hit is None:
         return None
     sign, j = hit
@@ -543,12 +537,14 @@ def unit_exp(a: Fraction) -> CycNum:
 def _trace_weights(n: int) -> tuple[int, ...]:
     # Tr(zeta_n^e) from Q(zeta_n) to Q, for e in 0..n-1: zeta_n^e is a
     # primitive m-th root with m = n / gcd(e, n), whose trace over Q(zeta_m) is
-    # mu(m), minus the coefficient of x^(phi(m) - 1) in Phi_m.
+    # the Moebius value mu(m): 0 unless m is squarefree, else (-1)^(#primes).
     phi = euler_phi(n)
     out = []
     for e in range(n):
         m = n // math.gcd(e, n)
-        out.append(-cyclotomic_polynomial(m)[-2] * (phi // euler_phi(m)))
+        primes = _prime_divisors(m)
+        mu = (-1) ** len(primes) if math.prod(primes) == m else 0
+        out.append(mu * (phi // euler_phi(m)))
     return tuple(out)
 
 

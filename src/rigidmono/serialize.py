@@ -26,12 +26,25 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def is_int(obj) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return type(obj) is int
+
+
 def check_keys(obj, allowed: set[str], what: str) -> dict:
     """``obj``, checked to be a JSON object with no key outside ``allowed``."""
     _require(isinstance(obj, dict), f"{what}: expected a JSON object")
     unknown = set(obj) - allowed
     _require(not unknown, f"{what}: unknown keys {sorted(unknown)}")
     return obj
+
+
+def _check_declared(obj: dict, what: str, rank: int, punctures: int):
+    # The optional declared 'r' and 's' must be integers equal to the decoded shape.
+    for key, name, value in (("r", "rank", rank), ("s", "punctures", punctures)):
+        if key in obj:
+            _require(is_int(obj[key]) and obj[key] == value,
+                     f"{what}: declared {name} {obj[key]!r} != {value}")
 
 
 def _enforce_conductor_cap(values, cap: int | None):
@@ -84,7 +97,7 @@ def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | Non
     check_keys(obj, {"n", "c"}, what)
     _require("n" in obj and "c" in obj, f"{what}: needs keys 'n' and 'c'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, f"{what}: bad conductor {n!r}")
+    _require(is_int(n) and n >= 1, f"{what}: bad conductor {n!r}")
     if conductor_cap is not None and n > conductor_cap:
         raise BudgetExceeded(f"{what}: declared conductor {n} exceeds the cap of {conductor_cap}")
     _require(isinstance(obj["c"], list) and len(obj["c"]) <= n,
@@ -98,7 +111,7 @@ def galois_to_json(g: GaloisElement) -> dict:
 
 def galois_from_json(obj) -> GaloisElement:
     check_keys(obj, {"n", "k"}, "galois element")
-    _require(isinstance(obj.get("n"), int) and isinstance(obj.get("k"), int),
+    _require(is_int(obj.get("n")) and is_int(obj.get("k")),
              "galois element: 'n' and 'k' must be integers")
     return GaloisElement(obj["n"], obj["k"])
 
@@ -113,7 +126,7 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
     check_keys(obj, {"rows", "cols", "entries"}, "matrix")
     rows, cols = obj.get("rows"), obj.get("cols")
-    _require(isinstance(rows, int) and isinstance(cols, int),
+    _require(is_int(rows) and is_int(cols),
              "matrix: 'rows' and 'cols' must be integers")
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
@@ -134,11 +147,7 @@ def tuple_from_json(obj, conductor_cap: int | None = None) -> MonodromyTuple:
     # Checked before validation multiplies the factors at this conductor.
     _enforce_conductor_cap((v for m in mats for v in m.entries), conductor_cap)
     t = MonodromyTuple.of(mats)
-    if "r" in obj:
-        _require(obj["r"] == t.rank, f"monodromy tuple: declared rank {obj['r']} != {t.rank}")
-    if "s" in obj:
-        _require(obj["s"] == t.punctures,
-                 f"monodromy tuple: declared punctures {obj['s']} != {t.punctures}")
+    _check_declared(obj, "monodromy tuple", t.rank, t.punctures)
     return t
 
 
@@ -162,10 +171,7 @@ def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
     e = EigenData.of(_points_from_json(obj, "eigenvalue data",
                                        lambda v: cyc_from_json(v, "eigenvalue", conductor_cap)))
     _enforce_conductor_cap((v for pt in e.points for v in pt), conductor_cap)
-    if "r" in obj:
-        _require(obj["r"] == e.rank, "eigenvalue data: declared rank disagrees")
-    if "s" in obj:
-        _require(obj["s"] == e.punctures, "eigenvalue data: declared point count disagrees")
+    _check_declared(obj, "eigenvalue data", e.rank, e.punctures)
     return e
 
 
@@ -178,16 +184,13 @@ def residues_from_json(obj) -> ResidueData:
     check_keys(obj, {"r", "s", "points"}, "residue data")
     rd = ResidueData.of(_points_from_json(obj, "residue data",
                                           lambda a: rational_from_json(a, "residue")))
-    if "r" in obj:
-        _require(obj["r"] == rd.rank, "residue data: declared rank disagrees")
-    if "s" in obj:
-        _require(obj["s"] == rd.punctures, "residue data: declared point count disagrees")
+    _check_declared(obj, "residue data", rd.rank, rd.punctures)
     return rd
 
 
 def geometry_from_json(obj) -> CurveGeometry:
     check_keys(obj, {"genus", "degH"}, "curve geometry")
-    _require(isinstance(obj.get("genus"), int) and isinstance(obj.get("degH"), int),
+    _require(is_int(obj.get("genus")) and is_int(obj.get("degH")),
              "curve geometry: 'genus' and 'degH' must be integers")
     return CurveGeometry(obj["genus"], obj["degH"])
 
@@ -198,9 +201,9 @@ def spec_to_json(spec: ComponentSpec) -> dict:
 
 def spec_from_json(obj) -> ComponentSpec:
     check_keys(obj, {"s", "triple"}, "component spec")
-    _require(isinstance(obj.get("s"), int), "component spec: 's' must be an integer")
+    _require(is_int(obj.get("s")), "component spec: 's' must be an integer")
     tri = obj.get("triple")
-    _require(isinstance(tri, list) and all(isinstance(i, int) for i in tri),
+    _require(isinstance(tri, list) and all(is_int(i) for i in tri),
              "component spec: 'triple' must be a list of integers")
     return ComponentSpec.of(obj["s"], tri)
 
@@ -258,11 +261,11 @@ def coset_to_json(c: TorsionCoset) -> dict:
 def coset_from_json(obj) -> TorsionCoset:
     check_keys(obj, {"N", "L", "tau", "empty"}, "torsion coset")
     n = obj.get("N")
-    _require(isinstance(n, int) and n >= 1, "torsion coset: bad ambient dimension")
+    _require(is_int(n) and n >= 1, "torsion coset: bad ambient dimension")
     rel = obj.get("L", [])
     _require(isinstance(rel, list), "torsion coset: 'L' must be a list of rows")
     for row in rel:
-        _require(isinstance(row, list) and all(isinstance(x, int) for x in row),
+        _require(isinstance(row, list) and all(is_int(x) for x in row),
                  "torsion coset: relation rows must be integer lists")
     tau = obj.get("tau")
     _require(isinstance(tau, list), "torsion coset: 'tau' must be a list")

@@ -5,15 +5,15 @@ t: the set {z : z^v = e^(2 pi i <t, v>) for every row v}.  A torsion point
 e^(2 pi i q) with rational q lies on it iff <q - t, v> is an integer for all
 rows.  Relation rows need not be saturated, so finite subgroup factors (for
 instance preimages under non-injective monomial maps) stay single objects.
-Intersections merge relation rows and solve the combined congruence system by
-Smith normal form; inconsistent systems yield the canonical empty coset.
+Intersections, preimages and the listing of torsion points of bounded order
+all solve one congruence system through one Smith normal form, never a grid
+scan; inconsistent systems yield the canonical empty coset.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .errors import BudgetExceeded, ShapeError
 
@@ -92,22 +92,31 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     return a, u, v
 
 
+def _diagonalize(rows: list[list[int]], targets: list[Fraction], n: int):
+    """(d, y, V) for <x, row_i> = targets_i (mod 1) in n unknowns, or None if
+    inconsistent (H. Cohen, GTM 138, section 2.4): with S = U rows V and x = V y
+    the system is d_k y_k = (U t)_k (mod 1), d_k = S_kk or 0 past the rank, so
+    y is one solution and y_k + j / d_k (any y_k if d_k = 0) all of them."""
+    s, u, v = smith_normal_form(rows)
+    d = [s[k][k] if k < len(s) else 0 for k in range(n)]
+    y = [Fraction(0)] * n
+    for i, urow in enumerate(u):
+        ut = sum(c * t for c, t in zip(urow, targets))
+        if i < n and d[i]:
+            y[i] = Fraction(ut, d[i])
+        elif ut.denominator != 1:
+            return None
+    return d, y, v
+
+
 def solve_congruences(rows: list[list[int]], targets: list[Fraction], n: int) -> list[Fraction] | None:
     """A rational x with <x, row_i> = targets_i (mod 1) for all i, or None."""
     if not rows:
         return [Fraction(0)] * n
-    s, u, v = smith_normal_form(rows)
-    m = len(rows)
-    ud = [sum(Fraction(u[i][j]) * targets[j] for j in range(m)) for i in range(m)]
-    y = [Fraction(0)] * n
-    for i in range(m):
-        d = s[i][i] if i < min(m, n) else 0
-        if d:
-            y[i] = ud[i] / d
-        elif ud[i].denominator != 1:
-            return None
-    x = [sum(Fraction(v[i][j]) * y[j] for j in range(n)) % 1 for i in range(n)]
-    return x
+    if (solved := _diagonalize(rows, targets, n)) is None:
+        return None
+    _, y, v = solved
+    return [sum(c * yk for c, yk in zip(row, y)) % 1 for row in v]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,17 @@ def coset_membership(q, c: TorsionCoset) -> bool:
     return True
 
 
+def _targets(c: TorsionCoset) -> list[Fraction]:
+    # <t, v> for each relation row v of the coset.
+    return [sum(t * v for t, v in zip(c.translate, row)) for row in c.relations]
+
+
+def _resolved(n: int, rows: list[list[int]], targets: list[Fraction]) -> TorsionCoset:
+    # The coset of the given rows through a common solution, or the empty coset.
+    tau = solve_congruences(rows, targets, n)
+    return TorsionCoset.empty_set(n) if tau is None else TorsionCoset.of(n, rows, tau)
+
+
 def coset_intersect(a: TorsionCoset, b: TorsionCoset) -> TorsionCoset:
     """Stack the relation rows and re-solve for a common translate; an
     inconsistent congruence system gives the canonical empty coset."""
@@ -177,12 +197,7 @@ def coset_intersect(a: TorsionCoset, b: TorsionCoset) -> TorsionCoset:
     if a.empty or b.empty:
         return TorsionCoset.empty_set(a.dim)
     rows = [list(r) for r in a.relations] + [list(r) for r in b.relations]
-    targets = [sum(t * v for t, v in zip(a.translate, r)) for r in a.relations] + \
-              [sum(t * v for t, v in zip(b.translate, r)) for r in b.relations]
-    tau = solve_congruences(rows, targets, a.dim)
-    if tau is None:
-        return TorsionCoset.empty_set(a.dim)
-    return TorsionCoset.of(a.dim, rows, tau)
+    return _resolved(a.dim, rows, _targets(a) + _targets(b))
 
 
 def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCoset:
@@ -197,49 +212,32 @@ def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCose
         raise ShapeError("ragged exponent matrix")
     if c.empty:
         return TorsionCoset.empty_set(n)
-    rows = []
-    targets = []
-    for v in c.relations:
-        rows.append([sum(v[i] * a_matrix[i][j] for i in range(m)) for j in range(n)])
-        targets.append(sum(t * x for t, x in zip(c.translate, v)))
-    tau = solve_congruences(rows, targets, n)
-    if tau is None:
-        return TorsionCoset.empty_set(n)
-    return TorsionCoset.of(n, rows, tau)
+    rows = [[sum(v[i] * a_matrix[i][j] for i in range(m)) for j in range(n)]
+            for v in c.relations]
+    return _resolved(n, rows, _targets(c))
 
 
 def enumerate_torsion(c: TorsionCoset, order_bound: int,
                       grid_budget: int = DEFAULT_GRID_BUDGET) -> set[tuple[Fraction, ...]]:
-    """All torsion points of exponent dividing order_bound on the coset, by
-    scanning the grid (1/order_bound) Z^N in [0, 1)^N."""
+    """All torsion points of exponent dividing order_bound = b on the coset,
+    listed from one Smith normal form: the rows b e_k stacked under the
+    relations make every d_k divide b and b y integral, so b q = V (b y + j b / d)
+    mod b for j in the product of range(d_k), one point each.  ``grid_budget``
+    bounds the search space b^N, not the work done (the Smith form plus the output)."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
-    b = order_bound
-    if b ** c.dim > grid_budget:
-        raise BudgetExceeded(
-            f"grid of {b}^{c.dim} points exceeds the budget of {grid_budget}")
+    b, n = order_bound, c.dim
+    if b ** n > grid_budget:
+        raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of {grid_budget}")
     if c.empty:
         return set()
-    # Integer form of each condition: sum(i_j v_j) * (M/b) = M * <t, v> (mod M).
-    conds = []
-    for row in c.relations:
-        t = sum(x * v for x, v in zip(c.translate, row))
-        m = lcm(b, t.denominator)
-        conds.append((row, m // b, int(t * m), m))
-    out = set()
-    for idx in itertools.product(range(b), repeat=c.dim):
-        ok = True
-        for row, scale, target, mod in conds:
-            acc = 0
-            for i, v in zip(idx, row):
-                if v:
-                    acc += i * v
-            if (acc * scale - target) % mod:
-                ok = False
-                break
-        if ok:
-            out.add(tuple(Fraction(i, b) for i in idx))
-    return out
+    rows = [list(r) for r in c.relations] + [[b * (i == j) for j in range(n)] for i in range(n)]
+    if (solved := _diagonalize(rows, _targets(c) + [Fraction(0)] * n, n)) is None:
+        return set()
+    d, y, v = solved
+    steps = (range(int(b * yk), int(b * yk) + b, b // dk) for yk, dk in zip(y, d))
+    return {tuple(Fraction(sum(w * x for w, x in zip(row, by)) % b, b) for row in v)
+            for by in itertools.product(*steps)}
 
 
 # ---------------------------------------------------------------------------

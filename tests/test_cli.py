@@ -322,3 +322,41 @@ def test_parser_keeps_no_state_across_calls(capsys):
     _, bound12 = run_cli(capsys, "tori", "--order-bound", "12", "--input", payload)
     assert default == bound12 != bound3
     assert len(json.loads(default)["points"]) > len(json.loads(bound3)["points"])
+
+
+_ONE_BY_ONE = {"rows": 1, "cols": 1, "entries": ["1"]}
+_LEGENDRE_EIGEN = {"points": [["-1", "-1"], ["1", "1"], ["1", "1"]]}
+_ZEROS = ["0"] * 6
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("classify", {"points": [[{"n": True, "c": ["2"]}, "1"], ["1", "1"], ["1", "1"]]}),
+    ("derham", {"eigen": {"r": True, "points": [["1"], ["1"], ["1"]]},
+                "geometry": {"genus": 0, "degH": 1}}),
+    ("derham", {"eigen": {"s": True, "points": [["1", "1"]]},
+                "geometry": {"genus": 0, "degH": 1}}),
+    ("check", {"matrices": [{"rows": True, "cols": 1, "entries": ["1"]}] * 3}),
+    ("check", {"matrices": [{"rows": 1, "cols": True, "entries": ["1"]}] * 3}),
+    ("check", {"r": True, "matrices": [_ONE_BY_ONE] * 3}),
+    ("construct", {"eigen": _LEGENDRE_EIGEN, "spec": {"s": 3, "triple": [True, 2, 3]}}),
+    ("derham", {"eigen": _LEGENDRE_EIGEN, "geometry": {"genus": False, "degH": 1}}),
+    ("derham", {"eigen": _LEGENDRE_EIGEN, "geometry": {"genus": 0, "degH": True}}),
+    ("tori", {"op": "enumerate", "coset": {"N": 1, "L": [[True]], "tau": ["0"]},
+              "order_bound": 2}),
+    ("tori", {"op": "enumerate", "coset": {"N": 1, "L": [[1]], "tau": ["0"]},
+              "order_bound": True}),
+    ("tori", {"op": "enumerate", "coset": {"N": True, "L": [[1]], "tau": ["0"]}}),
+    ("tori", {"op": "preimage", "coset": {"N": 1, "L": [[1]], "tau": ["0"]},
+              "matrix": [[True]]}),
+    ("tori", {"op": "nonsimple_locus", "s": 3, "triple": [True, 2, 3], "point": _ZEROS}),
+    ("tori", {"op": "nonsimple_locus", "s": 3, "triple": ["1", 2, 3], "point": _ZEROS}),
+    ("tori", {"op": "nonsimple_locus", "s": 3, "triple": [[1], 2, 3], "point": _ZEROS}),
+    ("tori", {"op": "nonsimple_locus", "s": 3, "triple": [1.0, 2, 3], "point": _ZEROS}),
+])
+def test_non_integer_in_integer_field_exit_1(capsys, command, payload):
+    # JSON true and false are Python ints; an integer field must refuse them
+    # (they used to read as 1 and 0), and so must a 'triple' entry that is no
+    # integer at all (a string, list or float used to raise a TypeError).
+    status, out = run_cli(capsys, command, "--input", json.dumps(payload))
+    assert status == 1
+    assert json.loads(out)["error"] == "schema-error"

@@ -2,8 +2,9 @@
 
 Derandomized ``hypothesis`` fuzzing of all seven commands: JSON trees built
 from the commands' own keys, with small scalars (conductors up to 12,
-integers up to 10^3, ``[p, q]`` pairs), some well-formed and some not.  A
-malformed scalar must exit 1, whatever it is malformed by.
+integers up to 10^3, ``[p, q]`` pairs), some well-formed and some not;
+integer fields also draw ``true`` and ``false``.  A malformed scalar must exit
+1, whatever it is malformed by.
 """
 import contextlib
 import io
@@ -25,6 +26,15 @@ OPS = sorted(_TORI_OPS) + ["union", "intersection", "complement"]
 
 ints = st.integers(-1000, 1000)
 small = st.integers(-3, 12)
+
+
+def or_bool(integers):
+    # An integer field also draws true and false, which JSON decodes to
+    # Python ints and the wire must refuse.
+    return st.one_of(integers, st.booleans())
+
+
+counts = or_bool(small)
 fractions = st.builds("{}/{}".format, ints, st.integers(-2, 1000))
 # [p, q] pair parts: ints and integer strings (q zero or negative too), and
 # the null, float, bool and list parts a pair must refuse.
@@ -33,7 +43,7 @@ bad_parts = st.one_of(st.none(), st.floats(-4, 4, allow_nan=False), st.booleans(
                       st.lists(small, max_size=2))
 pairs = st.lists(st.one_of(good_parts, bad_parts), min_size=2, max_size=2)
 # "c" lists run up to two coordinates past the declared conductor.
-cycnums = st.integers(-1, 12).flatmap(lambda n: st.fixed_dictionaries(
+cycnums = or_bool(st.integers(-1, 12)).flatmap(lambda n: st.fixed_dictionaries(
     {"n": st.just(n), "c": st.lists(st.one_of(small, fractions, pairs), max_size=max(n, 0) + 2)}))
 scalars = st.one_of(small, fractions, cycnums)
 leaves = st.one_of(st.none(), st.booleans(), ints, fractions, cycnums,
@@ -50,7 +60,8 @@ values = st.one_of(scalars, trees)
 def matrices(draw, size=None):
     size = size or draw(st.integers(1, 3))
     entries = draw(st.lists(scalars, min_size=size * size, max_size=size * size))
-    return {"rows": size, "cols": size, "entries": entries}
+    rows, cols = (draw(st.one_of(st.just(size), st.booleans())) for _ in range(2))
+    return {"rows": rows, "cols": cols, "entries": entries}
 
 
 @st.composite
@@ -75,7 +86,7 @@ def closed_tuples(draw):
 tuples = st.one_of(
     closed_tuples(),
     st.fixed_dictionaries({"matrices": st.lists(st.one_of(matrices(2), values), max_size=4)},
-                          optional={"r": small, "s": small}))
+                          optional={"r": counts, "s": counts}))
 units = st.builds(lambda n, k: wire.cyc_to_json(zeta(n, k)), st.integers(1, 12), st.integers(0, 11))
 good_scalars = st.one_of(st.integers(1, 1000), st.builds("{}/{}".format, ints, st.integers(1, 9)),
                          units)
@@ -93,17 +104,18 @@ def good_specs(s):
 
 points = st.one_of(st.lists(scalars, min_size=1, max_size=3), values)
 eigens = st.one_of(st.integers(3, 4).flatmap(good_eigens), st.fixed_dictionaries(
-    {"points": st.lists(points, min_size=1, max_size=4)}, optional={"r": small, "s": small}))
-specs = st.fixed_dictionaries({"s": small, "triple": st.lists(small, max_size=4)})
-geometries = st.fixed_dictionaries({"genus": st.integers(-1, 3), "degH": st.integers(-1, 3)})
+    {"points": st.lists(points, min_size=1, max_size=4)}, optional={"r": counts, "s": counts}))
+specs = st.fixed_dictionaries({"s": counts, "triple": st.lists(counts, max_size=4)})
+geometries = st.fixed_dictionaries({"genus": or_bool(st.integers(-1, 3)),
+                                    "degH": or_bool(st.integers(-1, 3))})
 
 
 @st.composite
 def cosets(draw, dim=None):
-    n = dim or draw(st.integers(-1, 3))
+    n = dim or draw(or_bool(st.integers(-1, 3)))
     width = st.integers(0, 3) if dim is None else st.just(dim)
     return {"N": n,
-            "L": draw(st.lists(width.flatmap(lambda w: st.lists(small, min_size=w, max_size=w)),
+            "L": draw(st.lists(width.flatmap(lambda w: st.lists(counts, min_size=w, max_size=w)),
                                max_size=3)),
             "tau": draw(width.flatmap(lambda w: st.lists(st.one_of(small, fractions),
                                                          min_size=w, max_size=w))),
@@ -115,11 +127,12 @@ def tori_requests(draw):
     n = draw(st.one_of(st.integers(1, 3), st.none()))
     args = {"coset": cosets(n), "a": cosets(n), "b": cosets(n),
             "point": st.lists(fractions, min_size=n or 0, max_size=n or 4),
-            "matrix": st.lists(st.lists(small, min_size=n or 0, max_size=n or 3), max_size=3),
-            "order_bound": st.integers(-1, 12),
+            "matrix": st.lists(st.lists(counts, min_size=n or 0, max_size=n or 3), max_size=3),
+            "order_bound": or_bool(st.integers(-1, 12)),
             "formula": st.recursive(cosets(n), lambda kids: st.fixed_dictionaries(
                 {"op": st.sampled_from(OPS), "args": st.lists(kids, max_size=3)}), max_leaves=4),
-            "s": st.integers(-1, 4), "triple": st.lists(st.integers(0, 4), max_size=4)}
+            "s": or_bool(st.integers(-1, 4)),
+            "triple": st.lists(or_bool(st.integers(0, 4)), max_size=4)}
     op = draw(st.one_of(st.sampled_from(sorted(_TORI_OPS)), st.sampled_from(OPS), values))
     keys = _TORI_OPS[op][0] if isinstance(op, str) and op in _TORI_OPS else set(args)
     # sorted: set order varies with the hash seed, and the draws must not.

@@ -82,6 +82,19 @@ def test_galois_and_spec_roundtrip():
     assert wire.spec_from_json(wire.spec_to_json(spec)) == spec
 
 
+@pytest.mark.parametrize("decode, obj", [
+    (wire.galois_from_json, {"n": 5, "k": True}),
+    (wire.galois_from_json, {"n": True, "k": 1}),
+    (wire.residues_from_json, {"r": True, "points": [["0"], ["0"], ["0"]]}),
+    (wire.residues_from_json, {"s": True, "points": [["0", "0"]]}),
+    (wire.spec_from_json, {"s": 3, "triple": [1, 2, True]}),
+])
+def test_booleans_are_not_integers(decode, obj):
+    # JSON true reads as the Python int 1; an integer field must refuse it.
+    with pytest.raises(SchemaError):
+        decode(obj)
+
+
 def test_coset_roundtrip():
     c = TorsionCoset.of(3, [[1, -2, 0], [0, 1, 1]], [F(1, 2), F(0), F(2, 3)])
     assert wire.coset_from_json(wire.coset_to_json(c)) == c

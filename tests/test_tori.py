@@ -1,8 +1,12 @@
 import itertools
 import random
+from datetime import timedelta
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_product_one_eigen
 from rigidmono import (TorsionCoset, TorusFormula, coset_intersect, coset_membership,
@@ -10,8 +14,28 @@ from rigidmono import (TorsionCoset, TorusFormula, coset_intersect, coset_member
                        nonsimple_locus_formula, nonsimple_test_s3, residue_vector,
                        smith_normal_form)
 from rigidmono.errors import BudgetExceeded, ShapeError
+from rigidmono.tori import solve_congruences
 
 F = Fraction
+
+
+def _grid_scan(c, b):
+    """Oracle: the points of the grid (1/b) Z^N in [0, 1)^N on the coset, by
+    testing every one of the b^N points in integers."""
+    if c.empty:
+        return set()
+    # Integer form of each condition: sum(i_j v_j) * (M/b) = M * <t, v> (mod M).
+    conds = []
+    for row in c.relations:
+        t = sum(x * v for x, v in zip(c.translate, row))
+        m = lcm(b, t.denominator)
+        conds.append((row, m // b, int(t * m), m))
+    out = set()
+    for idx in itertools.product(range(b), repeat=c.dim):
+        if all((sum(i * v for i, v in zip(idx, row)) * scale - target) % mod == 0
+               for row, scale, target, mod in conds):
+            out.add(tuple(Fraction(i, b) for i in idx))
+    return out
 
 
 def _matmul(a, b):
@@ -199,3 +223,46 @@ def test_locus_formula_matches_multiplicative_test():
         on += hit
         off += not hit
     assert on > 5 and off > 5
+
+
+@st.composite
+def cosets_with_bounds(draw):
+    # N <= 4 and b <= 12; rows may be zero, unsaturated (a multiple of a
+    # primitive row) or more numerous than N, translates may lie off the
+    # 1/b grid, and one coset in ten is the canonical empty one.
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    if draw(st.integers(0, 9)) == 0:
+        return TorsionCoset.empty_set(n), b
+    raw = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    row = st.one_of(raw, st.just([0] * n),
+                    st.tuples(raw, st.integers(2, 4)).map(lambda p: [p[1] * x for x in p[0]]))
+    rows = draw(st.lists(row, max_size=n + 2))
+    den = draw(st.one_of(st.just(b), st.integers(1, 24)))
+    tau = draw(st.lists(st.integers(0, 2 * den).map(lambda k: F(k, den)), min_size=n, max_size=n))
+    return TorsionCoset.of(n, rows, tau), b
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds())
+def test_enumerate_matches_the_grid_scan(coset_and_bound):
+    c, b = coset_and_bound
+    assert enumerate_torsion(c, b) == _grid_scan(c, b)
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds(), st.data())
+def test_solve_congruences_answers_lie_on_the_coset(coset_and_bound, data):
+    c, _ = coset_and_bound
+    if c.empty:
+        return
+    rows = [list(r) for r in c.relations]
+    targets = [sum(t * v for t, v in zip(c.translate, r)) for r in rows]
+    x = solve_congruences(rows, targets, c.dim)
+    assert x is not None and coset_membership(x, c)
+    # An integer combination of the rows whose target is moved off the
+    # combined target by a non-integer makes the system inconsistent.
+    combo = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    shift = data.draw(st.integers(1, 11).map(lambda k: F(k, 12)))
+    bad_row = [sum(k * r[j] for k, r in zip(combo, rows)) for j in range(c.dim)]
+    bad_target = sum((k * t for k, t in zip(combo, targets)), shift)
+    assert solve_congruences(rows + [bad_row], targets + [bad_target], c.dim) is None
