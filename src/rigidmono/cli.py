@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import serialize as wire
-from .errors import BudgetExceeded, MathError, SchemaError
+from .errors import BudgetExceeded, MathError, SchemaError, ShapeError
 from .galois import absolute_point_test, galois_orbit_eigen
 from .moduli import all_component_specs, component_membership, construct_representative, trace_chart
 from .monodromy import katz_report, rank2_classify
@@ -153,9 +153,11 @@ def _tori_nonsimple_locus(obj, cfg: RunConfig) -> dict:
     s, triple = obj.get("s"), obj.get("triple")
     if not (wire.is_int(s) and isinstance(triple, list) and all(wire.is_int(i) for i in triple)):
         raise SchemaError("tori nonsimple_locus: needs integer 's' and integer list 'triple'")
-    f = nonsimple_locus_formula(s, triple)
     q = wire.point_from_json(obj.get("point"))
-    return {"value": formula_eval(f, q)}
+    if len(q) != 2 * s:
+        raise ShapeError(f"tori nonsimple_locus: the point needs 2s = {2 * s} coordinates, "
+                         f"got {len(q)}")
+    return {"value": formula_eval(nonsimple_locus_formula(s, triple), q)}
 
 
 # op -> (keys besides "op", handler)

@@ -1,14 +1,17 @@
 """Exact dense linear algebra over cyclotomic scalars, for small matrices.
 
-Everything here is exact: rank and kernel dimension come from division-free
-Gaussian elimination, the characteristic polynomial from the trace recursion
-(which divides only by small integers), and eigenvalues come from one exact
-rule: every root (rational) x (root of unity) in a degree-bounded cyclotomic
-extension of the entries' field, plus the roots of a quadratic remainder
-whose discriminant is such a number squared.
+Everything here is exact and rests on two routines.  One incremental,
+division-free row echelon (``_echelon_add``) gives rank and kernel dimension
+and grows Burnside's span of words (``algebra_dim``).  One trace recursion
+(Faddeev-LeVerrier, which divides only by small integers) gives the
+characteristic polynomial and, above rank 2, the inverse.  Eigenvalues come
+from one exact rule: every root (rational) x (root of unity) in a
+degree-bounded cyclotomic extension of the entries' field, plus the roots of
+a quadratic remainder whose discriminant is such a number squared.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,22 +203,11 @@ class Matrix:
                 raise NotInvertible("singular 2x2 matrix")
             inv = det.inverse()
             return Matrix(2, 2, (d * inv, -b * inv, -c * inv, a * inv))
-        # Gauss-Jordan on [A | I].
-        n = self.rows
-        aug = [row + [one() if i == j else zero() for j in range(n)]
-               for i, row in enumerate(self.row_list())]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise NotInvertible("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [v * inv for v in aug[col]]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return Matrix.from_rows([row[n:] for row in aug])
+        poly, adj = _trace_recursion(self)
+        c0 = poly.coeffs[0]
+        if not c0:
+            raise NotInvertible("singular matrix")
+        return adj.scale(-c0.inverse())
 
     def __repr__(self):
         def show(c):
@@ -227,44 +219,64 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
-    """(rank, kernel dimension); their sum is the column count.
+def _echelon_add(rows: list, vec) -> bool:
+    """Reduce vec against the echelon ``rows``, (pivot, row) pairs sorted by
+    pivot, by cross-multiplying (a nonzero scale never changes a span, so
+    nothing is divided); keep what is left and return True unless it is 0."""
+    for piv, row in rows:
+        c = vec[piv]
+        if c:
+            vec = [row[piv] * x - c * y for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if x), None)
+    if piv is not None:
+        bisect.insort(rows, (piv, vec))  # pivots are distinct, so this sorts by pivot
+    return piv is not None
 
-    Division-free row echelon: rows are cross-scaled instead of normalized,
-    which never changes the rank.
-    """
-    rows = [r[:] for r in a.row_list()]
-    rank = 0
-    for col in range(a.cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [pv * x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
+
+def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
+    """(rank, kernel dimension); their sum is the column count.  The rank is
+    the number of rows the echelon keeps."""
+    rows = []
+    rank = sum(_echelon_add(rows, row) for row in a.row_list())
     return rank, a.cols - rank
+
+
+def algebra_dim(gens) -> int:
+    """The dimension of the algebra that the r x r matrices ``gens`` generate
+    with the identity: the span of the words in them, grown in the echelon by
+    left multiplication until it is closed or has all r^2 dimensions."""
+    r = gens[0].rows
+    basis, queue = [], [Matrix.identity(r)]
+    _echelon_add(basis, queue[0].entries)
+    while queue and len(basis) < r * r:
+        b = queue.pop()
+        for g in gens:
+            if len(basis) < r * r and _echelon_add(basis, (w := g @ b).entries):
+                queue.append(w)
+    return len(basis)
 
 
 def charpoly(a: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - A), by the trace recursion."""
     if not a.is_square():
         raise ShapeError("characteristic polynomial of a non-square matrix")
+    return _trace_recursion(a)[0]
+
+
+def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
+    """Faddeev-LeVerrier: M_1 = I, c_(r-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(r-k) I give det(xI - A) = sum c_i x^i.  Returns it
+    with M_r, for which A M_r = -c_0 I (Cayley-Hamilton)."""
     r = a.rows
     coeffs = [zero()] * r + [one()]
-    m = Matrix.identity(r)
+    m, am = Matrix.identity(r), a
     for k in range(1, r + 1):
-        am = a @ m
         c = -(am.trace() / k)
         coeffs[r - k] = c
         if k < r:
             m = am + Matrix.scalar(r, c)
-    return Polynomial(tuple(coeffs))
+            am = a @ m
+    return Polynomial(tuple(coeffs)), m
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from functools import cached_property
 
 from .cyclotomic import CycNum, rational, sort_key, zero
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
-from .linalg import Matrix, Polynomial, charpoly, eigenvalues_split, rank_and_kernel_dim
+from .linalg import (Matrix, Polynomial, algebra_dim, charpoly, eigenvalues_split,
+                     rank_and_kernel_dim)
 
 
 @dataclass(frozen=True)
@@ -150,47 +151,13 @@ def centralizer_dim(a: Matrix) -> int:
     return kdim
 
 
-class _SpanBasis:
-    # Incrementally row-reduced basis of a subspace of r x r matrices.
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[tuple[int, list[CycNum]]] = []  # (pivot index, vector)
-
-    def add(self, mat: Matrix) -> bool:
-        vec = list(mat.entries)
-        for piv, base in self.rows:
-            c = vec[piv]
-            if c:
-                bp = base[piv]
-                vec = [bp * x - c * y for x, y in zip(vec, base)]
-        for piv in range(self.dim):
-            if vec[piv]:
-                self.rows.append((piv, vec))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    def size(self) -> int:
-        return len(self.rows)
-
-
 def is_irreducible(t: MonodromyTuple) -> bool:
-    """Burnside criterion: the words in the g_i and their inverses span the
-    full r x r matrix algebra exactly when the tuple is irreducible."""
-    r = t.rank
-    gens = list(t.matrices) + [g.inverse() for g in t.matrices]
-    basis = _SpanBasis(r * r)
-    queue = [Matrix.identity(r)]
-    basis.add(queue[0])
-    while queue and basis.size() < r * r:
-        b = queue.pop()
-        for g in gens:
-            cand = g @ b
-            if basis.add(cand):
-                queue.append(cand)
-                if basis.size() == r * r:
-                    break
-    return basis.size() == r * r
+    """Burnside criterion: the tuple is irreducible exactly when the words in
+    the g_i span the full r x r matrix algebra.  The inverses need not be
+    generators: by Cayley-Hamilton g^r + ... + c_1 g + c_0 = 0 with
+    c_0 = +-det g nonzero, so g^-1 is a polynomial in g, and the words in the
+    g_i already span the group algebra of the monodromy group."""
+    return algebra_dim(t.matrices) == t.rank * t.rank
 
 
 def common_eigenvector_exists(t: MonodromyTuple) -> bool | None:

@@ -269,9 +269,10 @@ def coset_from_json(obj) -> TorsionCoset:
                  "torsion coset: relation rows must be integer lists")
     tau = obj.get("tau")
     _require(isinstance(tau, list), "torsion coset: 'tau' must be a list")
-    if obj.get("empty"):
-        return TorsionCoset.empty_set(n)
-    return TorsionCoset.of(n, rel, [rational_from_json(t, "translate") for t in tau])
+    empty = obj.get("empty", False)
+    _require(isinstance(empty, bool), "torsion coset: 'empty' must be true or false")
+    c = TorsionCoset.of(n, rel, [rational_from_json(t, "translate") for t in tau])
+    return TorsionCoset.empty_set(n) if empty else c
 
 
 def formula_to_json(f: TorusFormula) -> dict:

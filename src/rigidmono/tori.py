@@ -18,6 +18,9 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ShapeError
 
 DEFAULT_GRID_BUDGET = 2_000_000
+# The non-simple locus formula has O(s^2) entries, and so has its evaluation:
+# at this many punctures both take about half a second.
+NONSIMPLE_LOCUS_MAX_S = 128
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +302,12 @@ def nonsimple_locus_formula(s: int, triple) -> TorusFormula:
     The locus is the union, over one eigenvalue choice at each triple point
     and a common column choice at the others, of the subtorus where the chosen
     monomial is 1, intersected with the all-coordinates-product subtorus and
-    the scalar-equality subtori of the non-triple points.
+    the scalar-equality subtori of the non-triple points.  More than
+    NONSIMPLE_LOCUS_MAX_S punctures raise BudgetExceeded.
     """
+    if s > NONSIMPLE_LOCUS_MAX_S:
+        raise BudgetExceeded(f"{s} punctures exceed the non-simple locus budget of "
+                             f"{NONSIMPLE_LOCUS_MAX_S}")
     triple = frozenset(triple)
     if len(triple) != 3 or not all(1 <= i <= s for i in triple):
         raise ShapeError("triple must pick 3 distinct points in 1..s")

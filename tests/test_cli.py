@@ -10,6 +10,7 @@ from rigidmono import serialize as wire
 from rigidmono import cli
 from rigidmono.cli import COMMANDS, main
 from rigidmono.errors import SchemaError
+from rigidmono.tori import NONSIMPLE_LOCUS_MAX_S
 
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
 
@@ -360,3 +361,42 @@ def test_non_integer_in_integer_field_exit_1(capsys, command, payload):
     status, out = run_cli(capsys, command, "--input", json.dumps(payload))
     assert status == 1
     assert json.loads(out)["error"] == "schema-error"
+
+
+def test_empty_coset_checks_its_shape_first(capsys):
+    # An "empty" coset used to skip the shape checks, so an N far above the
+    # length of 'tau' built an N-wide relation row and a report of that size.
+    huge = {"N": 10 ** 6, "L": [], "tau": [], "empty": True}
+    status, out = run_cli(capsys, "tori", "--input",
+                          json.dumps({"op": "intersect", "a": huge, "b": huge}))
+    assert status == 2
+    assert json.loads(out)["error"] == "shape-error"
+
+
+@pytest.mark.parametrize("flag", ["yes", 1, 0, None])
+def test_non_boolean_empty_flag_exit_1(capsys, flag):
+    coset = {"N": 1, "L": [[1]], "tau": ["0"], "empty": flag}
+    status, out = run_cli(capsys, "tori", "--input",
+                          json.dumps({"op": "intersect", "a": coset, "b": coset}))
+    assert status == 1
+    assert json.loads(out)["error"] == "schema-error"
+
+
+def test_nonsimple_locus_reads_the_point_before_the_formula(capsys, monkeypatch):
+    def unexpected(s, triple):
+        raise AssertionError("the formula was built for a point of the wrong length")
+
+    monkeypatch.setattr(cli, "nonsimple_locus_formula", unexpected)
+    for s in (3, 100, 10 ** 6):
+        payload = {"op": "nonsimple_locus", "s": s, "triple": [1, 2, 3], "point": ["0"] * 4}
+        status, out = run_cli(capsys, "tori", "--input", json.dumps(payload))
+        assert status == 2
+        assert json.loads(out)["error"] == "shape-error"
+
+
+def test_nonsimple_locus_budget_exit_3(capsys):
+    s = NONSIMPLE_LOCUS_MAX_S + 1
+    payload = {"op": "nonsimple_locus", "s": s, "triple": [1, 2, 3], "point": ["0"] * (2 * s)}
+    status, out = run_cli(capsys, "tori", "--input", json.dumps(payload))
+    assert status == 3
+    assert json.loads(out)["error"] == "budget-exceeded"

@@ -3,8 +3,10 @@
 Derandomized ``hypothesis`` fuzzing of all seven commands: JSON trees built
 from the commands' own keys, with small scalars (conductors up to 12,
 integers up to 10^3, ``[p, q]`` pairs), some well-formed and some not;
-integer fields also draw ``true`` and ``false``.  A malformed scalar must exit
-1, whatever it is malformed by.
+integer fields also draw ``true`` and ``false``, a coset's ``empty`` flag
+draws non-booleans, and its ``N`` sometimes runs far past its translate.  A
+malformed scalar must exit 1, whatever it is malformed by, and a
+``nonsimple_locus`` request past the budget on s must exit 3.
 """
 import contextlib
 import io
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from rigidmono import Matrix, rational, zeta
 from rigidmono import serialize as wire
 from rigidmono.cli import COMMANDS, _TORI_OPS, main
+from rigidmono.tori import NONSIMPLE_LOCUS_MAX_S
 
 KEYS = ["r", "s", "matrices", "rows", "cols", "entries", "n", "c", "k", "points", "eigen",
         "spec", "triple", "geometry", "genus", "degH", "op", "coset", "point", "a", "b",
@@ -110,16 +113,23 @@ geometries = st.fixed_dictionaries({"genus": or_bool(st.integers(-1, 3)),
                                     "degH": or_bool(st.integers(-1, 3))})
 
 
+# The "empty" flag is a JSON boolean; strings, 0, 1 and null must be refused.
+empty_flags = st.one_of(st.booleans(), st.sampled_from(["yes", "true", "", 0, 1, None]))
+
+
 @st.composite
 def cosets(draw, dim=None):
     n = dim or draw(or_bool(st.integers(-1, 3)))
     width = st.integers(0, 3) if dim is None else st.just(dim)
+    if draw(st.integers(0, 9)) == 0:
+        # An ambient dimension far above the rows and translate drawn below.
+        n = draw(st.integers(4, 10 ** 6))
     return {"N": n,
             "L": draw(st.lists(width.flatmap(lambda w: st.lists(counts, min_size=w, max_size=w)),
                                max_size=3)),
             "tau": draw(width.flatmap(lambda w: st.lists(st.one_of(small, fractions),
                                                          min_size=w, max_size=w))),
-            **({"empty": True} if draw(st.integers(0, 9)) == 0 else {})}
+            **({"empty": draw(empty_flags)} if draw(st.integers(0, 4)) == 0 else {})}
 
 
 @st.composite
@@ -131,7 +141,8 @@ def tori_requests(draw):
             "order_bound": or_bool(st.integers(-1, 12)),
             "formula": st.recursive(cosets(n), lambda kids: st.fixed_dictionaries(
                 {"op": st.sampled_from(OPS), "args": st.lists(kids, max_size=3)}), max_leaves=4),
-            "s": or_bool(st.integers(-1, 4)),
+            "s": st.one_of(or_bool(st.integers(-1, 4)),
+                           st.integers(NONSIMPLE_LOCUS_MAX_S + 1, 10 ** 6)),
             "triple": st.lists(or_bool(st.integers(0, 4)), max_size=4)}
     op = draw(st.one_of(st.sampled_from(sorted(_TORI_OPS)), st.sampled_from(OPS), values))
     keys = _TORI_OPS[op][0] if isinstance(op, str) and op in _TORI_OPS else set(args)
@@ -199,3 +210,14 @@ def test_malformed_scalars_exit_1(well_formed, bad, data):
     extra = data.draw(st.lists(good_coords, min_size=n + 1 - len(coords),
                                max_size=n + 2 - len(coords)))
     assert _classify_status({"n": n, "c": coords + extra}) == 1
+
+
+@settings(max_examples=30, derandomize=True, deadline=timedelta(seconds=5))
+@given(st.integers(NONSIMPLE_LOCUS_MAX_S + 1, 4 * NONSIMPLE_LOCUS_MAX_S), st.data())
+def test_nonsimple_locus_beyond_its_budget_exits_3(s, data):
+    # A well-formed request whose formula would exceed the budget on s.
+    triple = data.draw(st.lists(st.integers(1, s), min_size=3, max_size=3, unique=True))
+    payload = {"op": "nonsimple_locus", "s": s, "triple": sorted(triple),
+               "point": [data.draw(st.builds("{}/{}".format, ints, st.integers(1, 9)))] * (2 * s)}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["tori", "--input", json.dumps(payload)]) == 3

@@ -69,3 +69,19 @@ def test_mon_computes_each_charpoly_once(monkeypatch, capsys):
     charpolys = _count_calls(monkeypatch, "charpoly")
     _run(capsys, "mon", "--input", LEGENDRE_JSON)
     assert len(charpolys) == 3
+
+
+def test_check_and_orbit_invert_no_matrix(monkeypatch, capsys):
+    # Burnside spans words in the generators alone, so no factor is inverted
+    # (the closure over the g_i and their inverses made s inverse calls).
+    inverses = []
+    original = Matrix.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    _run(capsys, "check", "--input", LEGENDRE_JSON)
+    _run(capsys, "orbit", "--input", LEGENDRE_JSON)
+    assert inverses == []

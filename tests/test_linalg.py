@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rigidmono import (Matrix, Polynomial, charpoly, eigenvalues_split, one, rank_and_kernel_dim,
-                       rational, sort_key, zeta)
+from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, one,
+                       rank_and_kernel_dim, rational, sort_key, zeta)
 from rigidmono.errors import NotInvertible, ShapeError
 from rigidmono.linalg import _rational_roots, _rational_sqrt, poly_roots_in_field
 
@@ -36,6 +36,31 @@ def test_inverse_example():
 def test_inverse_of_singular_fails():
     with pytest.raises(NotInvertible):
         M([[1, 1], [0, 0]]).inverse()
+
+
+@st.composite
+def _square_matrices(draw):
+    # An r x r matrix over Q(zeta_n): each entry sum(c_k zeta_n^k), c_k in -2..2.
+    r, n = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3, 4, 5, 8, 12]))
+    coeffs = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return Matrix(r, r, tuple(CycNum.from_coeffs(draw(coeffs), n) for _ in range(r * r)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(_square_matrices(), st.data())
+def test_inverse_is_exact_at_ranks_1_to_4(a, data):
+    if a.det():
+        assert a @ a.inverse() == Matrix.identity(a.rows)
+        assert a.inverse() @ a == Matrix.identity(a.rows)
+    else:
+        with pytest.raises(NotInvertible):
+            a.inverse()
+    # The last row made a multiple of the first (zero when r = 1): singular.
+    c = data.draw(st.sampled_from(POOL))
+    rows = a.row_list()
+    rows[-1] = [c * x for x in rows[0]] if a.rows > 1 else [rational(0)]
+    with pytest.raises(NotInvertible):
+        Matrix.from_rows(rows).inverse()
 
 
 def test_shape_errors():

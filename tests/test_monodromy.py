@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import legendre_tuple, random_tuple
 from rigidmono import (EigenData, Matrix, MonodromyTuple, Polynomial, centralizer_dim,
                        common_eigenvector_exists, det_data, is_irreducible, katz_report, mon,
-                       one, rank2_classify, rational, scalar_points, zeta)
+                       one, rank2_classify, rational, scalar_points, zero, zeta)
 from rigidmono.errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 
 M = Matrix.from_rows
@@ -79,6 +81,67 @@ def test_burnside_agrees_with_common_eigenvector():
         checked += 1
         assert is_irreducible(t) == (not ce)
     assert checked > 40
+
+
+def _burnside_with_inverses(t: MonodromyTuple) -> bool:
+    # The earlier closure, kept as an oracle: words in the g_i and their
+    # inverses, in a basis of its own that reduces each new word by
+    # cross-multiplication against the rows kept so far.
+    r = t.rank
+    gens = list(t.matrices) + [g.inverse() for g in t.matrices]
+    basis = []  # (pivot, vector), sorted by pivot
+
+    def add(mat):
+        vec = list(mat.entries)
+        for piv, base in basis:
+            if vec[piv]:
+                vec = [base[piv] * x - vec[piv] * y for x, y in zip(vec, base)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is not None:
+            basis.append((piv, vec))
+            basis.sort(key=lambda pair: pair[0])
+        return piv is not None
+
+    queue = [Matrix.identity(r)]
+    add(queue[0])
+    while queue and len(basis) < r * r:
+        b = queue.pop()
+        queue += [w for g in gens if add(w := g @ b)]
+    return len(basis) == r * r
+
+
+_ENTRIES = st.sampled_from([rational(x) for x in (0, 1, -1, 2)] + [zeta(3), zeta(4)])
+
+
+@st.composite
+def _tuples(draw):
+    # s - 1 factors closed by the inverse of their product.  With split = k > 0
+    # every factor keeps span(e_1, ..., e_k) and the tuple is conjugated by a
+    # random h, which hides the block-triangular shape: a reducible tuple.
+    r, s = draw(st.sampled_from([2, 3])), draw(st.integers(3, 4))
+    split = draw(st.integers(1, r - 1)) if draw(st.booleans()) else 0
+
+    def invertible(block):
+        m = Matrix(r, r, tuple(zero() if block and i >= split > j else draw(_ENTRIES)
+                               for i in range(r) for j in range(r)))
+        assume(m.det())
+        return m
+
+    mats = [invertible(True) for _ in range(s - 1)]
+    prod = Matrix.identity(r)
+    for g in mats:
+        prod = prod @ g
+    t = MonodromyTuple.of(mats + [prod.inverse()])
+    return split, (t.conjugated(invertible(False)) if split else t)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_tuples())
+def test_burnside_on_the_generators_alone_agrees_with_the_inverse_closure(drawn):
+    split, t = drawn
+    assert is_irreducible(t) == _burnside_with_inverses(t)
+    if split:
+        assert not is_irreducible(t)
 
 
 def test_katz_report_legendre():
