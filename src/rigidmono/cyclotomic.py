@@ -136,6 +136,28 @@ def _combine(n: int, terms, size: int) -> list[int]:
     return out
 
 
+def _lift(num, m: int, n: int):
+    # Coordinates at the multiple conductor n of the element with coordinates num at m.
+    return num if m == n else tuple(
+        _combine(n, ((j * (n // m), c) for j, c in enumerate(num)), euler_phi(n)))
+
+
+def _dot(n: int, pairs) -> list[int]:
+    # Integer coordinates of sum(a b) over pairs (a, b) of coordinate vectors
+    # at conductor n: the convolutions are summed, then reduced mod Phi_n once.
+    phi = euler_phi(n)
+    if phi == 1:
+        return [sum(a[0] * b[0] for a, b in pairs)]
+    conv = [0] * (2 * phi - 1)
+    for a, b in pairs:
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    conv[i + j] += x * y
+    return [x + y for x, y in zip(conv, _combine(n, enumerate(conv[phi:], phi), phi))]
+
+
 def _apply_exponent(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
     # zeta_n^j -> zeta_n^(j*k), extended linearly.
     return tuple(_combine(n, ((j * k, c) for j, c in enumerate(num)), len(num)))
@@ -296,13 +318,6 @@ class CycNum:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _lift(self, n: int):
-        # Numerators of self at the multiple conductor n, over self.den.
-        if n == self.conductor:
-            return self.num
-        step = n // self.conductor
-        return _combine(n, ((j * step, c) for j, c in enumerate(self.num)), euler_phi(n))
-
     def _scale(self, a: int, d: int) -> CycNum:
         # self * (a/d) for a rational a/d; the conductor stays minimal.
         if not a:
@@ -316,7 +331,7 @@ class CycNum:
                 return NotImplemented
         m, k = self.conductor, other.conductor
         n = m if m == k else math.lcm(m, k)
-        a, b = self._lift(n), other._lift(n)
+        a, b = _lift(self.num, m, n), _lift(other.num, k, n)
         d, e = self.den, other.den
         num = [x * e + y * d for x, y in zip(a, b)]
         if m == 1 or k == 1:
@@ -351,15 +366,8 @@ class CycNum:
         if k == 1:
             return self._scale(other.num[0], other.den)
         n = m if m == k else math.lcm(m, k)
-        a, b = self._lift(n), other._lift(n)
-        phi = len(a)
-        terms = [(j, y) for j, y in enumerate(b) if y]
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in terms:
-                    conv[i + j] += x * y
-        return _normalize(n, _combine(n, enumerate(conv), phi), self.den * other.den)
+        prod = _dot(n, ((_lift(self.num, m, n), _lift(other.num, k, n)),))
+        return _normalize(n, prod, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -1,24 +1,29 @@
-"""Exact dense linear algebra over cyclotomic scalars, for small matrices.
+"""Exact dense linear algebra over cyclotomic fields, for small matrices.
 
-Everything here is exact and rests on two routines.  One incremental,
-division-free row echelon (``_echelon_add``) gives rank and kernel dimension
-and grows Burnside's span of words (``algebra_dim``).  One trace recursion
-(Faddeev-LeVerrier, which divides only by small integers) gives the
-characteristic polynomial and, above rank 2, the inverse.  Eigenvalues come
-from one exact rule: every root (rational) x (root of unity) in a
-degree-bounded cyclotomic extension of the entries' field, plus the roots of
-a quadratic remainder whose discriminant is such a number squared.
+A Matrix holds integer power-basis coordinates at one conductor N over one
+denominator.  Arithmetic runs on them at fixed N; a value descends to its
+minimal conductor only as it leaves (entries, traces, determinants and
+characteristic polynomials).  Two routines rest on this.  One incremental,
+division-free row echelon (``_echelon_add``), which divides each kept row by
+its integer content, gives rank and kernel dimension and grows Burnside's
+span of words (``algebra_dim``).  One trace recursion (Faddeev-LeVerrier,
+which divides only by small integers) gives the characteristic polynomial
+and the inverse.  Eigenvalues come from one exact rule: every root (rational)
+x (root of unity) in a degree-bounded cyclotomic extension of the entries'
+field, plus the roots of a quadratic remainder whose discriminant is such a
+number squared.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, euler_phi, one, rational, rational_parts, sort_key,
-                         unit_exp, unit_log, zero)
+from .cyclotomic import (CycNum, _dot, _lift, _normalize, euler_phi, one, rational,
+                         rational_parts, sort_key, unit_exp, unit_log, zero)
 from .errors import NotInvertible, ShapeError
 
 
@@ -63,25 +68,47 @@ class Polynomial:
         return Polynomial(tuple(quot))
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """An immutable matrix of CycNum entries, stored row-major.
+    """An immutable matrix over Q(zeta_N), row-major as ``(rows, cols,
+    conductor, num, den)``: entry i is num[i] / den, num[i] the phi(N) integer
+    power-basis coordinates at N, den > 0 and gcd(den, coordinates) = 1.  N is
+    the lcm of the given entries' conductors; coordinates at one N are unique,
+    so sums, products and == run on them at a common N, which may therefore
+    exceed the entries' least conductor.
 
     >>> Matrix.from_rows([[1, 2], [3, 4]]) @ Matrix.identity(2)
     Matrix([[1, 2], [3, 4]])
     """
 
-    rows: int
-    cols: int
-    entries: tuple[CycNum, ...]
+    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}")
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, "
+                             f"got {len(entries)}")
+        self.rows, self.cols, self._entries = rows, cols, tuple(entries)
+
+    def __getattr__(self, name):
+        # Coordinates of a matrix built from entries, on first use (after the wire's cap check).
+        if name not in ("conductor", "num", "den"):
+            raise AttributeError(name)
+        ent = self._entries
+        n, den = math.lcm(*(e.conductor for e in ent)), math.lcm(*(e.den for e in ent))
+        self.conductor, self.den, self.num = n, den, tuple(
+            _lift(tuple(c * (den // e.den) for c in e.num), e.conductor, n) for e in ent)
+        return getattr(self, name)
+
+    @classmethod
+    def from_coords(cls, rows: int, cols: int, n: int, num, den: int) -> Matrix:
+        """Entry i is num[i] / den: num[i] holds phi(n) integers, den > 0."""
+        g = 1 if den == 1 else math.gcd(den, *itertools.chain.from_iterable(num))
+        if g != 1:
+            num, den = tuple(tuple(v // g for v in x) for x in num), den // g
+        m = object.__new__(cls)
+        m.rows, m.cols, m.conductor, m.num, m.den, m._entries = rows, cols, n, num, den, None
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> Matrix:
@@ -108,6 +135,30 @@ class Matrix:
         z = zero()
         return cls(rows, cols, (z,) * (rows * cols))
 
+    @property
+    def entries(self) -> tuple[CycNum, ...]:
+        """The entries, row-major, each at its minimal conductor."""
+        if self._entries is None:
+            self._entries = tuple(_normalize(self.conductor, x, self.den) for x in self.num)
+        return self._entries
+
+    def _at(self, n: int) -> Matrix:
+        # The same matrix stored at the multiple conductor n.
+        if n == self.conductor:
+            return self
+        return Matrix.from_coords(self.rows, self.cols, n, tuple(
+            _lift(x, self.conductor, n) for x in self.num), self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        n = math.lcm(self.conductor, other.conductor)
+        return ((self.rows, self.cols, self.den) == (other.rows, other.cols, other.den)
+                and self._at(n).num == other._at(n).num)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
     def __getitem__(self, key) -> CycNum:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -123,86 +174,61 @@ class Matrix:
 
     def is_scalar(self) -> bool:
         """True iff the matrix equals entries[0] times the identity."""
-        if not self.is_square():
-            return False
-        d = self.entries[0]
-        return all(self[i, j] == (d if i == j else zero())
-                   for i in range(self.rows) for j in range(self.cols))
+        d, step = self.num[0], self.rows + 1
+        return self.is_square() and all(x == d if i % step == 0 else not any(x)
+                                        for i, x in enumerate(self.num))
 
     def is_identity(self) -> bool:
-        return self.is_scalar() and self.entries[0] == one()
+        one_at_n = (1,) + (0,) * (len(self.num[0]) - 1)
+        return self.is_scalar() and self.den == 1 and self.num[0] == one_at_n
 
     def __add__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def _same_shape(self, other: Matrix):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        n, d, e = math.lcm(self.conductor, other.conductor), self.den, other.den
+        g = math.gcd(d, e)
+        num = tuple(tuple(e // g * x + d // g * y for x, y in zip(a, b))
+                    for a, b in zip(self._at(n).num, other._at(n).num))
+        return Matrix.from_coords(self.rows, self.cols, n, num, d // g * e)
+
+    def __sub__(self, other: Matrix) -> Matrix:
+        return self + -other
+
+    def __neg__(self) -> Matrix:
+        return self.scale(-1)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            for j in range(m):
-                acc = zero()
-                for t in range(k):
-                    x = a[i * k + t]
-                    if x:
-                        y = b[t * m + j]
-                        if y:
-                            acc = acc + x * y
-                out.append(acc)
-        return Matrix(n, m, tuple(out))
+        n, k, m = math.lcm(self.conductor, other.conductor), self.cols, other.cols
+        a, b = self._at(n).num, other._at(n).num
+        num = tuple(tuple(_dot(n, zip(a[i * k:(i + 1) * k], b[j::m])))
+                    for i in range(self.rows) for j in range(m))
+        return Matrix.from_coords(self.rows, m, n, num, self.den * other.den)
 
     def scale(self, value) -> Matrix:
-        value = value if isinstance(value, CycNum) else rational(value)
-        return Matrix(self.rows, self.cols, tuple(value * a for a in self.entries))
+        return self @ Matrix.scalar(self.cols, value)
 
     def trace(self) -> CycNum:
         if not self.is_square():
             raise ShapeError("trace of a non-square matrix")
-        acc = zero()
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
+        return _normalize(self.conductor, [sum(c) for c in zip(*self.num[::self.cols + 1])],
+                          self.den)
 
     def det(self) -> CycNum:
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows == 1:
-            return self.entries[0]
         if self.rows == 2:
-            a, b, c, d = self.entries
-            return a * d - b * c
-        p = charpoly(self)
-        d = p.coeffs[0]
+            (a, b, c, d), n = self.num, self.conductor
+            return _normalize(n, _dot(n, ((a, d), (tuple(-v for v in b), c))), self.den ** 2)
+        d = charpoly(self).coeffs[0]
         return d if self.rows % 2 == 0 else -d
 
     def inverse(self) -> Matrix:
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
-        if self.rows == 2:
-            a, b, c, d = self.entries
-            det = a * d - b * c
-            if not det:
-                raise NotInvertible("singular 2x2 matrix")
-            inv = det.inverse()
-            return Matrix(2, 2, (d * inv, -b * inv, -c * inv, a * inv))
         poly, adj = _trace_recursion(self)
         c0 = poly.coeffs[0]
         if not c0:
@@ -219,25 +245,30 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _echelon_add(rows: list, vec) -> bool:
-    """Reduce vec against the echelon ``rows``, (pivot, row) pairs sorted by
-    pivot, by cross-multiplying (a nonzero scale never changes a span, so
-    nothing is divided); keep what is left and return True unless it is 0."""
+def _echelon_add(rows: list, vec, n: int) -> bool:
+    """Reduce vec, coordinate tuples at conductor n, against the echelon
+    ``rows``, (pivot, row) pairs sorted by pivot, by cross-multiplying (a
+    nonzero scale never changes a span); keep what is left over its integer
+    content (at n = 1 as small as Bareiss's rows, with no field inverse at
+    n > 1), and return True unless it is 0."""
     for piv, row in rows:
         c = vec[piv]
-        if c:
-            vec = [row[piv] * x - c * y for x, y in zip(vec, row)]
-    piv = next((i for i, x in enumerate(vec) if x), None)
-    if piv is not None:
-        bisect.insort(rows, (piv, vec))  # pivots are distinct, so this sorts by pivot
-    return piv is not None
+        if any(c):
+            p, c = row[piv], tuple(-v for v in c)
+            vec = [_dot(n, ((p, x), (c, y))) for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if any(x)), None)
+    if piv is None:
+        return False
+    g = math.gcd(*itertools.chain.from_iterable(vec))
+    bisect.insort(rows, (piv, [tuple(v // g for v in x) for x in vec]))  # pivots are distinct
+    return True
 
 
 def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
     """(rank, kernel dimension); their sum is the column count.  The rank is
     the number of rows the echelon keeps."""
-    rows = []
-    rank = sum(_echelon_add(rows, row) for row in a.row_list())
+    rows, c = [], a.cols
+    rank = sum(_echelon_add(rows, a.num[i:i + c], a.conductor) for i in range(0, len(a.num), c))
     return rank, a.cols - rank
 
 
@@ -245,13 +276,14 @@ def algebra_dim(gens) -> int:
     """The dimension of the algebra that the r x r matrices ``gens`` generate
     with the identity: the span of the words in them, grown in the echelon by
     left multiplication until it is closed or has all r^2 dimensions."""
-    r = gens[0].rows
-    basis, queue = [], [Matrix.identity(r)]
-    _echelon_add(basis, queue[0].entries)
+    r, n = gens[0].rows, math.lcm(*(g.conductor for g in gens))
+    gens = [g._at(n) for g in gens]
+    basis, queue = [], [Matrix.identity(r)._at(n)]
+    _echelon_add(basis, queue[0].num, n)
     while queue and len(basis) < r * r:
         b = queue.pop()
         for g in gens:
-            if len(basis) < r * r and _echelon_add(basis, (w := g @ b).entries):
+            if len(basis) < r * r and _echelon_add(basis, (w := g @ b).num, n):
                 queue.append(w)
     return len(basis)
 
@@ -266,16 +298,23 @@ def charpoly(a: Matrix) -> Polynomial:
 def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
     """Faddeev-LeVerrier: M_1 = I, c_(r-k) = -tr(A M_k) / k and
     M_(k+1) = A M_k + c_(r-k) I give det(xI - A) = sum c_i x^i.  Returns it
-    with M_r, for which A M_r = -c_0 I (Cayley-Hamilton)."""
-    r = a.rows
-    coeffs = [zero()] * r + [one()]
-    m, am = Matrix.identity(r), a
+    with M_r, for which A M_r = -c_0 I (Cayley-Hamilton).  The last trace is
+    sum_ij a_ij (M_r)_ji, r^2 products instead of the product A M_r."""
+    r, n = a.rows, a.conductor
+    coeffs, m, am = [one()] * (r + 1), Matrix.identity(r), a
+    t, d = [sum(c) for c in zip(*a.num[::r + 1])], a.den  # tr(A M_k) = t / d
     for k in range(1, r + 1):
-        c = -(am.trace() / k)
-        coeffs[r - k] = c
-        if k < r:
-            m = am + Matrix.scalar(r, c)
-            am = a @ m
+        coeffs[r - k] = _normalize(n, [-v for v in t], d * k)
+        if k < r:  # M_(k+1) = (k A M_k - t I) / (k d)
+            m = Matrix.from_coords(r, r, n, tuple(
+                tuple(k * v - (w if i % (r + 1) == 0 else 0) for v, w in zip(x, t))
+                for i, x in enumerate(am.num)), d * k)
+            if k + 1 < r:
+                am = a @ m
+                t, d = [sum(c) for c in zip(*am.num[::r + 1])], am.den
+            else:
+                t, d = _dot(n, ((a.num[i * r + j], m.num[j * r + i])
+                                for i in range(r) for j in range(r))), a.den * m.den
     return Polynomial(tuple(coeffs)), m
 
 
@@ -435,12 +474,10 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
 
 
 def _triangular_diagonal(a: Matrix) -> list[CycNum] | None:
-    r = a.rows
-    if all(not a[i, j] for i in range(1, r) for j in range(i)):
-        return [a[i, i] for i in range(r)]
-    if all(not a[i, j] for i in range(r) for j in range(i + 1, r)):
-        return [a[i, i] for i in range(r)]
-    return None
+    r, num = a.rows, a.num
+    below = any(any(num[i * r + j]) for i in range(r) for j in range(i))
+    above = any(any(num[j * r + i]) for i in range(r) for j in range(i))
+    return None if below and above else [a[i, i] for i in range(r)]
 
 
 def poly_roots_in_field(p: Polynomial, n: int) -> tuple[CycNum, ...] | None:

@@ -62,21 +62,13 @@ def trace_chart(t: MonodromyTuple) -> TraceChartPoint:
                            t.dets[0].inverse(), t.dets[1].inverse())
 
 
-def _global_product(e: EigenData) -> CycNum:
-    acc = one()
-    for pt in e.points:
-        for v in pt:
-            acc = acc * v
-    return acc
-
-
 def nonsimple_test_s3(e: EigenData) -> bool:
     """Whether rank-2, s = 3 eigenvalue data lies on the non-simple locus:
     some choice x_{1i} x_{2j} x_{3k} of one eigenvalue per point multiplies
     to 1."""
     if e.rank != 2 or e.punctures != 3:
         raise ShapeError("non-simple locus test requires rank 2, 3 punctures")
-    if _global_product(e) != one():
+    if e.product != one():
         raise NotOnModuli("eigenvalue data is off the moduli: product of all six is not 1")
     return any(x * y * z == one()
                for x in e.points[0] for y in e.points[1] for z in e.points[2])
@@ -93,7 +85,7 @@ def component_membership(e: EigenData, spec: ComponentSpec) -> bool:
         raise ShapeError("component membership requires rank 2")
     if e.punctures != spec.punctures:
         raise ShapeError("eigenvalue data and component spec disagree on s")
-    if _global_product(e) != one():
+    if e.product != one():
         return False
     scalars = one()
     for i, pt in enumerate(e.points, start=1):

@@ -9,11 +9,12 @@ and the passage to local eigenvalue data.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycNum, rational, sort_key, zero
+from .cyclotomic import CycNum, one, rational, sort_key
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 from .linalg import (Matrix, Polynomial, algebra_dim, charpoly, eigenvalues_split,
                      rank_and_kernel_dim)
@@ -44,8 +45,8 @@ class MonodromyTuple:
         for i, d in enumerate(self.dets):
             if not d:
                 raise NotInvertible(f"matrix {i + 1} is singular")
-        prod = Matrix.identity(r)
-        for g in self.matrices:
+        prod = self.matrices[0]
+        for g in self.matrices[1:]:
             prod = prod @ g
         if not prod.is_identity():
             raise RelationViolation("ordered product of the tuple is not the identity")
@@ -110,6 +111,11 @@ class EigenData:
     def conductor(self) -> int:
         return math.lcm(*[v.conductor for pt in self.points for v in pt])
 
+    @cached_property
+    def product(self) -> CycNum:
+        """The product of all r s eigenvalues, the determinant of the relation."""
+        return math.prod((v for pt in self.points for v in pt), start=one())
+
 
 @dataclass(frozen=True)
 class RigidityReport:
@@ -133,22 +139,19 @@ class Rank2Classification:
 
 def centralizer_dim(a: Matrix) -> int:
     """Dimension of {X : XA = AX}, as the kernel of X -> XA - AX on r x r
-    matrices (an r^2 x r^2 exact kernel computation)."""
+    matrices (an r^2 x r^2 exact kernel computation).  The rows are built
+    from A's coordinates, over no denominator: scaling keeps the kernel."""
     if not a.is_square():
         raise ShapeError("centralizer of a non-square matrix")
-    r = a.rows
-    z = zero()
-    rows = []
-    for i in range(r):
-        for j in range(r):
-            row = [z] * (r * r)
-            for k in range(r):
-                # d(XA - AX)_{ij} / dX_{ik} and / dX_{kj}
-                row[i * r + k] = row[i * r + k] + a[k, j]
-                row[k * r + j] = row[k * r + j] - a[i, k]
-            rows.append(row)
-    _, kdim = rank_and_kernel_dim(Matrix.from_rows(rows))
-    return kdim
+    r, num = a.rows, a.num
+    zero, rows = (0,) * len(num[0]), []
+    for i, j in itertools.product(range(r), repeat=2):
+        row = [zero] * (r * r)
+        for k in range(r):  # d(XA - AX)_ij / dX_ik is a_kj, and / dX_kj is -a_ik
+            row[i * r + k] = tuple(x + y for x, y in zip(row[i * r + k], num[k * r + j]))
+            row[k * r + j] = tuple(x - y for x, y in zip(row[k * r + j], num[i * r + k]))
+        rows += row
+    return rank_and_kernel_dim(Matrix.from_coords(r * r, r * r, a.conductor, tuple(rows), 1))[1]
 
 
 def is_irreducible(t: MonodromyTuple) -> bool:

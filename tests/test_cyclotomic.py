@@ -6,6 +6,7 @@ import pytest
 from rigidmono import (CycNum, GaloisElement, cyclotomic_polynomial, euler_phi, galois_apply,
                        galois_group, one, rational, root_of_unity_order, unit_exp, unit_log,
                        zero, zeta)
+from rigidmono.cyclotomic import _lift
 from rigidmono.errors import FieldMismatch, InvalidAutomorphism, InvalidConductor
 
 POOL = [zero(), one(), rational(-1), rational(2), rational(Fraction(-2, 3)),
@@ -98,7 +99,7 @@ def test_conductor_minimality_under_reexpression():
     for v in POOL:
         for t in (2, 3, 5):
             n = v.conductor * t
-            lifted = [Fraction(c, v.den) for c in v._lift(n)]
+            lifted = [Fraction(c, v.den) for c in _lift(v.num, v.conductor, n)]
             w = CycNum.from_coeffs(lifted, n)
             assert w == v
             assert w.conductor == v.conductor

@@ -3,11 +3,13 @@
 The counters wrap the public analysis functions in every package namespace
 that binds them, so a call counts wherever it is made from.
 """
+import functools
 import json
+import random
 import sys
 
-from conftest import legendre_tuple
-from rigidmono import Matrix
+from conftest import legendre_tuple, random_tuple
+from rigidmono import EigenData, Matrix, MonodromyTuple, charpoly, one, zeta
 from rigidmono import monodromy
 from rigidmono import serialize as wire
 from rigidmono.cli import main
@@ -85,3 +87,58 @@ def test_check_and_orbit_invert_no_matrix(monkeypatch, capsys):
     _run(capsys, "check", "--input", LEGENDRE_JSON)
     _run(capsys, "orbit", "--input", LEGENDRE_JSON)
     assert inverses == []
+
+
+def _count_matmuls(monkeypatch):
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return products
+
+
+def test_validation_forms_s_minus_1_products(monkeypatch):
+    # The relation product starts from g_1, not from the identity.
+    rng = random.Random(12)
+    tuples = [random_tuple(rng, s) for s in (3, 4, 7)]
+    products = _count_matmuls(monkeypatch)
+    for t in tuples:
+        products.clear()
+        MonodromyTuple.of(t.matrices)
+        assert len(products) == t.punctures - 1
+
+
+def test_trace_recursion_skips_the_last_product(monkeypatch):
+    # The last trace tr(A M_r) is summed from the entries, so a rank-r
+    # characteristic polynomial forms r - 2 matrix products, not the r - 1
+    # that forming A M_r took: none at rank 2, one at rank 3.
+    mats = {r: Matrix.from_rows([[zeta(12, i + 2 * j) + i for j in range(r)] for i in range(r)])
+            for r in (1, 2, 3, 4)}
+    products = _count_matmuls(monkeypatch)
+    for r, a in mats.items():
+        products.clear()
+        charpoly(a)
+        assert len(products) == max(r - 2, 0)
+
+
+def test_classify_forms_the_global_product_once(monkeypatch, capsys):
+    # classify tests all s(s-1)(s-2)/6 components of one EigenData (35 at
+    # s = 7); the product of its 2s eigenvalues is formed once.
+    calls = []
+    original = EigenData.product.func
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    product = functools.cached_property(counted)
+    product.__set_name__(EigenData, "product")
+    monkeypatch.setattr(EigenData, "product", product)
+    z = zeta(5)
+    e = EigenData.of([[z, z ** 4]] * 3 + [[one(), one()]] * 4)
+    _run(capsys, "classify", "--input", json.dumps(wire.eigen_to_json(e)))
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, one,
-                       rank_and_kernel_dim, rational, sort_key, zeta)
+from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, linalg, one,
+                       rank_and_kernel_dim, rational, sort_key, zero, zeta)
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import _rational_roots, _rational_sqrt, poly_roots_in_field
+from rigidmono.linalg import _rational_roots, _rational_sqrt, algebra_dim, poly_roots_in_field
+from rigidmono.monodromy import centralizer_dim
 
 M = Matrix.from_rows
 POOL = [rational(x) for x in (0, 1, -1, 2, Fraction(1, 2))] + [zeta(3), zeta(4), zeta(3) + 1]
@@ -263,3 +265,167 @@ def test_nth_root_matches_bruteforce():
     for den in range(1, 7):
         for m in range(200):
             assert _rational_sqrt(Fraction(m, den)) == roots.get(Fraction(m, den))
+
+
+# ---------------------------------------------------------------------------
+# The per-entry kernel that the coordinate kernel replaced: CycNum products and
+# sums, each normalized on the spot.  It is kept as the oracle of the
+# differential test below.  A matrix here is its row-major entry tuple.
+
+def _oracle_matmul(n, k, m, a, b):
+    # The n x k matrix a times the k x m matrix b.
+    out = []
+    for i in range(n):
+        for j in range(m):
+            acc = zero()
+            for t in range(k):
+                x = a[i * k + t]
+                if x:
+                    y = b[t * m + j]
+                    if y:
+                        acc = acc + x * y
+            out.append(acc)
+    return tuple(out)
+
+
+def _oracle_echelon_add(rows, vec):
+    for piv, row in rows:
+        c = vec[piv]
+        if c:
+            vec = [row[piv] * x - c * y for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if x), None)
+    if piv is not None:
+        bisect.insort(rows, (piv, vec))
+    return piv is not None
+
+
+def _oracle_rank(r, c, ent):
+    rows = []
+    return sum(_oracle_echelon_add(rows, list(ent[i * c:(i + 1) * c])) for i in range(r))
+
+
+def _oracle_identity(r):
+    return tuple(one() if i % (r + 1) == 0 else zero() for i in range(r * r))
+
+
+def _oracle_trace_recursion(r, ent):
+    coeffs = [zero()] * r + [one()]
+    m, am = _oracle_identity(r), ent
+    for k in range(1, r + 1):
+        c = -(sum(am[::r + 1], zero()) / k)
+        coeffs[r - k] = c
+        if k < r:
+            m = tuple(x + c if i % (r + 1) == 0 else x for i, x in enumerate(am))
+            am = _oracle_matmul(r, r, r, ent, m)
+    return Polynomial(tuple(coeffs)), m
+
+
+def _oracle_algebra_dim(r, gens):
+    basis, queue = [], [_oracle_identity(r)]
+    _oracle_echelon_add(basis, list(queue[0]))
+    while queue and len(basis) < r * r:
+        b = queue.pop()
+        for g in gens:
+            if len(basis) < r * r:
+                w = _oracle_matmul(r, r, r, g, b)
+                if _oracle_echelon_add(basis, list(w)):
+                    queue.append(w)
+    return len(basis)
+
+
+def _oracle_centralizer_dim(r, a):
+    rows = []
+    for i in range(r):
+        for j in range(r):
+            row = [zero()] * (r * r)
+            for k in range(r):
+                row[i * r + k] = row[i * r + k] + a[k * r + j]
+                row[k * r + j] = row[k * r + j] - a[i * r + k]
+            rows += row
+    return r * r - _oracle_rank(r * r, r * r, rows)
+
+
+_CONDUCTORS = (1, 3, 4, 5, 8, 12, 24, 60)
+
+
+@st.composite
+def _mixed_matrices(draw, r):
+    # An r x r matrix over Q(zeta_n) whose entries lie at conductors d | n
+    # taken from the same list, so a matrix mixes them.
+    n = draw(st.sampled_from(_CONDUCTORS))
+    subs = [d for d in _CONDUCTORS if n % d == 0]
+
+    def entry():
+        d = draw(st.sampled_from(subs))
+        coeffs = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=d, max_size=d))
+        den = draw(st.sampled_from((1, 1, 2, 3)))
+        return CycNum.from_coeffs([Fraction(c, den) for c in coeffs], d)
+    return Matrix(r, r, tuple(entry() for _ in range(r * r)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(_mixed_matrices(r), _mixed_matrices(r))))
+def test_kernel_matches_the_per_entry_oracle(pair):
+    a, b = pair
+    r = a.rows
+    prod = a @ b
+    want = _oracle_matmul(r, r, r, a.entries, b.entries)
+    assert prod.entries == want
+    assert prod == Matrix(r, r, want) and hash(prod) == hash(Matrix(r, r, want))
+    assert (a == b) == (a.entries == b.entries)
+    assert (prod == b @ a) == (want == _oracle_matmul(r, r, r, b.entries, a.entries))
+    diagonal = Matrix(r, r, tuple(x if i % (r + 1) == 0 else zero()
+                                  for i, x in enumerate(a.entries)))
+    for m in (diagonal, Matrix.scalar(r, a.entries[0]) @ prod.scale(0) + Matrix.scalar(r, b[0, 0])):
+        assert m.is_scalar() == all(x == (m.entries[0] if i % (r + 1) == 0 else zero())
+                                    for i, x in enumerate(m.entries))
+        assert m.is_identity() == (m.entries == _oracle_identity(r))
+    for m in (a, prod):
+        poly, adj = _oracle_trace_recursion(r, m.entries)
+        assert charpoly(m) == poly
+        c0 = poly.coeffs[0]
+        assert m.det() == (c0 if r % 2 == 0 else -c0)
+        if c0:
+            assert m.inverse().entries == tuple(x * (-c0.inverse()) for x in adj)
+        else:
+            with pytest.raises(NotInvertible):
+                m.inverse()
+        assert rank_and_kernel_dim(m)[0] == _oracle_rank(r, r, m.entries)
+        assert centralizer_dim(m) == _oracle_centralizer_dim(r, m.entries)
+        assert m.is_scalar() == all(x == (m.entries[0] if i % (r + 1) == 0 else zero())
+                                    for i, x in enumerate(m.entries))
+    # Two generators span all 16 dimensions at rank 4, where the row sizes
+    # double with each kept row in both echelons (seconds per example at
+    # conductor 60), so rank 4 spans the words in one generator.
+    gens = [a, b] if r < 4 else [a]
+    assert algebra_dim(gens) == _oracle_algebra_dim(r, [g.entries for g in gens])
+
+
+def test_products_that_descend_match_the_oracle():
+    # h D h^-1 . h D^-1 h^-1 is the identity, computed at conductor 24.
+    h = M([[2, 1], [1, 1]])
+    d = M([[zeta(24), 0], [0, rational(3) * zeta(8)]])
+    x, y = h @ d @ h.inverse(), h @ d.inverse() @ h.inverse()
+    p = x @ y
+    assert p.conductor == 24
+    assert p.entries == _oracle_matmul(2, 2, 2, x.entries, y.entries) == Matrix.identity(2).entries
+    assert p == Matrix.identity(2) and p.is_identity() and p.is_scalar()
+    assert not Matrix.scalar(2, Fraction(1, 2)).is_identity()
+    assert hash(p) == hash(Matrix.identity(2))
+    assert centralizer_dim(p) == 4 and algebra_dim([p]) == 1
+    assert charpoly(p) == Polynomial.of([1, -2, 1])
+
+
+def test_eigenvalues_read_the_field_of_the_entries(monkeypatch):
+    # A product stored at conductor 24 whose entries are rational: the working
+    # field is Q, the field the entries generate, not the stored Q(zeta_24).
+    h = M([[2, 1], [1, 1]])
+    d = M([[zeta(24), 0], [0, zeta(24, 5)]])
+    p = (h @ d @ h.inverse()) @ (h @ M([[zeta(24, -1), 0], [0, zeta(24, 7)]]) @ h.inverse())
+    assert p.conductor == 24 and all(e.conductor == 1 for e in p.entries)
+    fields = []
+    original = linalg.poly_roots_in_field
+    monkeypatch.setattr(linalg, "poly_roots_in_field",
+                        lambda poly, n: fields.append(n) or original(poly, n))
+    assert eigenvalues_split(p) == eigenvalues_split(Matrix(2, 2, p.entries))
+    assert fields == [1, 1]

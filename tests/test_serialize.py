@@ -185,3 +185,19 @@ def test_cyc_with_more_coordinates_than_its_conductor():
     with pytest.raises(SchemaError):
         wire.cyc_from_json({"n": 2, "c": ["1", "0", "1"]})
     assert wire.cyc_from_json({"n": 2, "c": ["1", "1"]}) == rational(0)
+
+
+def test_matrix_conductor_cap_precedes_any_lift(monkeypatch):
+    # A matrix mixing conductors 13 and 19 works at 247, past the cap of 20:
+    # the cap refuses it before any entry is lifted to that conductor (at the
+    # default cap, entries at 239 and 233 would lift to 55687).
+    from rigidmono import linalg
+    from rigidmono.errors import BudgetExceeded
+    lifts = []
+    original = linalg._lift
+    monkeypatch.setattr(linalg, "_lift", lambda num, m, n: lifts.append(n) or original(num, m, n))
+    z13, z19 = wire.cyc_to_json(zeta(13)), wire.cyc_to_json(zeta(19))
+    g = {"rows": 2, "cols": 2, "entries": [z13, "0", "0", z19]}
+    with pytest.raises(BudgetExceeded):
+        wire.tuple_from_json({"r": 2, "s": 3, "matrices": [g, g, g]}, 20)
+    assert 247 not in lifts
