@@ -302,9 +302,9 @@ class CycNum:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        # Hash the Fraction coordinates, so that iteration over sets of
-        # CycNum does not depend on the stored representation.
-        return hash((self.conductor, self.coeffs))
+        # The stored form is canonical, so equal values hash equal; a rational
+        # keeps the hash of its Fraction coordinates, (1, (q,)).
+        return hash((1, self.coeffs) if self.conductor == 1 else (self.conductor, self.num, self.den))
 
     # -- predicates ---------------------------------------------------------
 
@@ -556,26 +556,20 @@ def _trace_weights(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rational_parts(z: CycNum, n: int) -> tuple[Fraction, ...]:
-    """The rational parts pi(z zeta_n^j) for j = 0..n-1; z's conductor must
-    divide n.
-
-    pi = Tr / phi(n), the trace from Q(zeta_n) to Q over the degree, is the
-    Q-linear projection onto Q that fixes Q.
-
-    >>> [str(x) for x in rational_parts(zeta(4), 4)]
-    ['0', '-1', '0', '1']
-    >>> rational_parts(rational(3), 6)[2]
-    Fraction(-3, 2)
-    """
-    m = z.conductor
-    if n % m != 0:
-        raise FieldMismatch(f"element at conductor {m} is outside Q(zeta_{n})")
-    weights, step = _trace_weights(n), n // m
-    terms = [(i * step, c) for i, c in enumerate(z.num) if c]
-    den = z.den * euler_phi(n)
-    return tuple(Fraction(sum(c * weights[(e + j) % n] for e, c in terms), den)
-                 for j in range(n))
+def _trace_rows(zs, n: int) -> list[list[int]]:
+    """Row i holds the integers D Tr(zs[i] zeta_n^j), j = 0..n-1, D the lcm of
+    the zs' denominators and Tr the trace from Q(zeta_n) to Q; n % conductor == 0."""
+    weights, den, rows = _trace_weights(n), math.lcm(*(z.den for z in zs)), []
+    for z in zs:
+        if n % z.conductor != 0:
+            raise FieldMismatch(f"element at conductor {z.conductor} is outside Q(zeta_{n})")
+        row, step, s = [0] * n, n // z.conductor, den // z.den
+        for i, c in enumerate(z.num):
+            if c:  # c zeta_n^e adds c Tr(zeta_n^(e + j)) to entry j, times D / den
+                e, c = i * step, c * s
+                row = [r + c * w for r, w in zip(row, weights[e:] + weights[:e])]
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _dot, _lift, _normalize, euler_phi, one, rational,
-                         rational_parts, sort_key, unit_exp, unit_log, zero)
+from .cyclotomic import (CycNum, _dot, _lift, _normalize, _trace_rows, euler_phi, one,
+                         rational, sort_key, unit_exp, unit_log, zero, zeta)
 from .errors import NotInvertible, ShapeError
 
 
@@ -58,14 +58,10 @@ class Polynomial:
 
     def deflate(self, root: CycNum) -> Polynomial | None:
         """Divide by (x - root); None if root is not actually a root."""
-        quot = [zero()] * (len(self.coeffs) - 1)
-        carry = zero()
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[i] + carry * root if i < len(self.coeffs) - 1 else self.coeffs[i]
-            quot[i - 1] = carry
-        if self.coeffs[0] + carry * root:
-            return None
-        return Polynomial(tuple(quot))
+        quot, carry = [], zero()  # synthetic division, highest degree first
+        for c in reversed(self.coeffs[1:]):
+            quot.append(carry := c + carry * root)
+        return None if self.coeffs[0] + carry * root else Polynomial(tuple(reversed(quot)))
 
 
 class Matrix:
@@ -301,7 +297,7 @@ def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
     with M_r, for which A M_r = -c_0 I (Cayley-Hamilton).  The last trace is
     sum_ij a_ij (M_r)_ji, r^2 products instead of the product A M_r."""
     r, n = a.rows, a.conductor
-    coeffs, m, am = [one()] * (r + 1), Matrix.identity(r), a
+    coeffs, m, am = [one()] * (r + 1), None, a  # M_1 = I is built only if r = 1
     t, d = [sum(c) for c in zip(*a.num[::r + 1])], a.den  # tr(A M_k) = t / d
     for k in range(1, r + 1):
         coeffs[r - k] = _normalize(n, [-v for v in t], d * k)
@@ -315,7 +311,7 @@ def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
             else:
                 t, d = _dot(n, ((a.num[i * r + j], m.num[j * r + i])
                                 for i in range(r) for j in range(r))), a.den * m.den
-    return Polynomial(tuple(coeffs)), m
+    return Polynomial(tuple(coeffs)), m or Matrix.identity(1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,55 +343,46 @@ def _rational_sqrt(f: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _horner(f: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _sturm_sequence(f: list[Fraction]) -> list[list[Fraction]]:
-    # f, f', then minus each remainder of the previous two, down to a constant.
-    seq = [f, [i * c for i, c in enumerate(f)][1:]]
-    while len(seq[-1]) > 1:
-        r, g = list(seq[-2]), seq[-1]
-        while len(r) >= len(g):
-            q = r[-1] / g[-1]
-            for i, c in enumerate(g, len(r) - len(g)):
-                r[i] -= q * c
-            r.pop()
+def _rem(f: list[int], g: list[int]) -> list[int]:
+    # A positive multiple of f mod g, over its content (no trailing zeros).
+    a, sign, r = abs(g[-1]), 1 if g[-1] > 0 else -1, f
+    while len(r) >= len(g):
+        c, r = sign * r[-1], [a * x for x in r[:-1]]
+        for i, y in enumerate(g[:-1], len(r) - len(g) + 1):
+            r[i] -= c * y
         while r and not r[-1]:
             r.pop()
-        if not r:
-            break
-        seq.append([-c for c in r])
-    return seq
+    c = math.gcd(*r)
+    return [x // c for x in r] if c > 1 else r
 
 
-def _sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
-    signs = [v > 0 for v in (_horner(f, x) for f in seq) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _int_gcd(f: list[int], g: list[int]) -> list[int]:
+    # A gcd over Q, with positive lead, of f != 0 and g (g may end in zeros).
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        f, g = g, _rem(f, g)
+    return f if f[-1] > 0 else [-x for x in f]
 
 
-def _rational_roots(f: list[Fraction]) -> list[Fraction]:
-    """The distinct rational roots of the monic rational polynomial f (lowest
-    degree first, degree at least 2).
+def _rational_roots(f) -> list[Fraction]:
+    """The distinct rational roots, largest first, of the polynomial f with
+    rational coefficients (lowest degree first, degree at least 1).  Made
+    integral with lead l > 0, f has its rational roots among the k / l; Sturm
+    counts at the (2k + 1) / (2 l), never roots, bisect the range of k."""
+    m = math.lcm(*(c.denominator for c in f)) * (1 if f[-1] > 0 else -1)
+    g = [int(c * m) for c in f]
+    seq, lead = [g, [i * c for i, c in enumerate(g)][1:]], g[-1]
+    while len(seq[-1]) > 1 and (r := _rem(seq[-2], seq[-1])):
+        seq.append([-x for x in r])
 
-    Degree 2 is the quadratic formula with an exact square root.  Above it, a
-    rational root is k / lead for an integer k, lead the lcm of f's
-    denominators; Sturm counts at the half-integer points (2k + 1) / (2 lead),
-    which are never roots, bisect the range of k down to single candidates.
-    """
-    if len(f) == 3:
-        b, c = f[1], f[0]
-        s = _rational_sqrt(b * b - 4 * c)
-        return [] if s is None else list(dict.fromkeys([(s - b) / 2, (-s - b) / 2]))
-    lead = math.lcm(*(c.denominator for c in f))
-    seq = _sturm_sequence(f)
+    def value(h: list[int], num: int, den: int) -> int:  # den^deg(h) h(num / den)
+        return sum(c * num ** i * den ** (len(h) - 1 - i) for i, c in enumerate(h))
 
     def changes(k: int) -> int:
-        return _sign_changes(seq, Fraction(2 * k + 1, 2 * lead))
-    top = int((1 + max(abs(c) for c in f)) * lead) + 1  # Cauchy: |root| < 1 + max |c|
+        signs = [v > 0 for v in (value(h, 2 * k + 1, 2 * lead) for h in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    top = lead + max(map(abs, g))  # Cauchy: |root| < 1 + max |g_i| / lead
     roots, ranges = [], [(-top - 1, top)]  # the candidates k / lead with lo < k <= hi
     while ranges:
         lo, hi = ranges.pop()
@@ -404,7 +391,7 @@ def _rational_roots(f: list[Fraction]) -> list[Fraction]:
         if hi - lo > 1:
             mid = (lo + hi) // 2
             ranges += [(lo, mid), (mid, hi)]
-        elif not _horner(f, Fraction(hi, lead)):
+        elif not value(g, hi, lead):
             roots.append(Fraction(hi, lead))
     return roots
 
@@ -412,22 +399,40 @@ def _rational_roots(f: list[Fraction]) -> list[Fraction]:
 def _unit_root(p: Polynomial, big_n: int) -> CycNum | None:
     """A root c u of p with c rational and u^big_n = 1, or None if there is none.
 
-    c u is a root exactly when c is a rational root of the monic
-    q_u(y) = p(u y) / (lead u^d), whose coefficients are those of p / lead
-    times powers of u.  The rational part pi is Q-linear and fixes Q, so
-    every such c is also a root of the rational polynomial pi(q_u); each of
-    those candidates is checked exactly.  u and -u give the same roots, and
-    big_n is even, so u = zeta_big_n^j with j < big_n / 2 covers every unit.
+    For u = zeta_L^j, L = big_n, c u is a root exactly when c is a root of
+    the monic q_u(y) = p(u y) / (lead u^d) = sum_i a_i u^(i - d) y^i.  Its
+    coefficients lie in a Q(zeta_m), m | L, whose trace form is non-degenerate,
+    so that holds exactly when every P_k(c) = D Tr(q_u(c) zeta_L^k) is 0,
+    k = (L / m) k' for k' < phi(m); P_k has the integer coefficients
+    D Tr(a_i zeta_L^(j (i - d) + k)).  The candidates are the rational roots of
+    P_0 (in degree 3 and above, of its gcd with the next P_k, down to degree 2),
+    each checked on every P_k.  u and -u give the same roots, and L is even.
     """
     if not p.coeffs[0]:
         return zero()
     d, lead = p.degree(), p.coeffs[-1]
-    parts = [rational_parts(c / lead, big_n) for c in p.coeffs[:-1]]
+    monic = p.coeffs if lead == one() else [c / lead for c in p.coeffs]
+    rows, n = _trace_rows(monic, big_n), math.lcm(*(c.conductor for c in monic))
     for j in range(big_n // 2):
-        proj = [parts[i][j * (i - d) % big_n] for i in range(d)] + [Fraction(1)]
-        for c in _rational_roots(proj):
-            if c:
-                root = rational(c) * unit_exp(Fraction(j, big_n))
+        shifts = [j * (i - d) for i in range(d + 1)]
+
+        def poly(k: int) -> list[int]:  # P_k, lowest degree first
+            return [row[(s + k) % big_n] for row, s in zip(rows, shifts)]
+        g, m = poly(0), math.lcm(n, big_n // math.gcd(j, big_n))
+        ks = range(0, big_n, big_n // m)[:euler_phi(m)]
+        for k in ks[1:] if len(g) > 3 else ():
+            if len(g := _int_gcd(g, poly(k))) <= 3:
+                break
+        if len(g) == 3:  # the quadratic formula in integers (g[2] > 0)
+            c, b, a = g
+            s = math.isqrt(max(disc := b * b - 4 * a * c, 0))
+            cands = [(s - b, 2 * a), (-s - b, 2 * a)] if s * s == disc else []
+        else:  # Sturm, or a constant
+            cands = [(r.numerator, r.denominator) for r in _rational_roots(g)] if len(g) > 1 else []
+        for a, b in cands:
+            powers = [a ** i * b ** (d - i) for i in range(d + 1)]
+            if not any(sum(c * x for c, x in zip(poly(k), powers)) for k in ks):
+                root = rational(Fraction(a, b)) * zeta(big_n, j)
                 if not p(root):
                     return root
     return None

@@ -13,7 +13,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidmono import CycNum, rational
+from rigidmono import CycNum, rational, zeta
 
 CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 15, 24, 60)
 
@@ -117,3 +117,17 @@ def test_equal_rationals_hash_equal(q, k):
     assert hash(same) == hash(rational(q)) == hash((1, (q,)))
     assert rational(Fraction(2, 4)) == rational(Fraction(1, 2))
     assert hash(rational(Fraction(2, 4))) == hash(rational(Fraction(1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_pair(), st.sampled_from((2, 3, 5)))
+def test_equal_values_from_different_conductors_hash_equal(data, t):
+    # One value written at conductor n and at n t, and reached by a sum and a
+    # difference that pass through Q(zeta_nt), hashes alike: the hash reads
+    # the canonical stored form.
+    n, u, _ = data
+    z = CycNum.from_coeffs(u, n)
+    lifted = CycNum.from_coeffs(ref_embed(z, n * t), n * t)
+    detour = (z + zeta(n * t)) - zeta(n * t)
+    assert lifted == z == detour
+    assert hash(lifted) == hash(z) == hash(detour) and len({z, lifted, detour}) == 1

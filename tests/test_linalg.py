@@ -2,15 +2,18 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, linalg, one,
-                       rank_and_kernel_dim, rational, sort_key, zero, zeta)
+from rigidmono import (CycNum, Matrix, Polynomial, charpoly, cyclotomic, eigenvalues_split,
+                       linalg, one, rank_and_kernel_dim, rational, sort_key, zero, zeta)
+from rigidmono.cyclotomic import euler_phi, unit_exp
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import _rational_roots, _rational_sqrt, algebra_dim, poly_roots_in_field
+from rigidmono.linalg import (_extension_conductor, _rational_roots, _rational_sqrt, algebra_dim,
+                              poly_roots_in_field)
 from rigidmono.monodromy import centralizer_dim
 
 M = Matrix.from_rows
@@ -429,3 +432,100 @@ def test_eigenvalues_read_the_field_of_the_entries(monkeypatch):
                         lambda poly, n: fields.append(n) or original(poly, n))
     assert eigenvalues_split(p) == eigenvalues_split(Matrix(2, 2, p.entries))
     assert fields == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# The eigenvalue rule that the integer trace test replaced: the rational parts
+# pi(q_u) as Fractions, and a CycNum Horner evaluation of p at every candidate.
+# It is kept as the oracle of the differential test below.
+
+def _oracle_rational_parts(z, n):
+    # pi(z zeta_n^j) = Tr(z zeta_n^j) / phi(n) for j = 0..n-1.
+    weights, step = cyclotomic._trace_weights(n), n // z.conductor
+    terms = [(i * step, c) for i, c in enumerate(z.num) if c]
+    den = z.den * euler_phi(n)
+    return tuple(Fraction(sum(c * weights[(e + j) % n] for e, c in terms), den)
+                 for j in range(n))
+
+
+def _oracle_rational_roots(f):
+    if len(f) == 3:
+        b, c = f[1], f[0]
+        s = _rational_sqrt(b * b - 4 * c)
+        return [] if s is None else list(dict.fromkeys([(s - b) / 2, (-s - b) / 2]))
+    return _rational_roots(f)
+
+
+def _oracle_unit_root(p, big_n):
+    if not p.coeffs[0]:
+        return zero()
+    d, lead = p.degree(), p.coeffs[-1]
+    parts = [_oracle_rational_parts(c / lead, big_n) for c in p.coeffs[:-1]]
+    for j in range(big_n // 2):
+        proj = [parts[i][j * (i - d) % big_n] for i in range(d)] + [Fraction(1)]
+        for c in _oracle_rational_roots(proj):
+            if c:
+                root = rational(c) * unit_exp(Fraction(j, big_n))
+                if not p(root):
+                    return root
+    return None
+
+
+def _poly_mul(f, g):
+    out = [zero()] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+@st.composite
+def _eigen_polys(draw):
+    # A monic polynomial of degree 2 or 3 over Q(zeta_n), n = 1..60: a product
+    # of factors y - c zeta_n^k (rational roots times units of the field),
+    # y^2 - c^2 zeta_n^k (roots in the degree-bounded extension) and
+    # y^2 + e y + f with random e, f (mostly not split).
+    n, r = draw(st.integers(1, 60)), draw(st.sampled_from((2, 3)))
+    cs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+    def unit_multiple(square):
+        c = draw(cs)
+        return rational(c * c if square else c) * zeta(n, draw(st.integers(0, n - 1)))
+
+    def entry():
+        return sum((rational(draw(st.integers(-3, 3))) * zeta(n, draw(st.integers(0, n - 1)))
+                    for _ in range(draw(st.integers(1, 2)))), zero())
+    poly = [one()]
+    while len(poly) <= r:
+        kind = draw(st.sampled_from(("linear", "root", "random")) if len(poly) < r
+                    else st.just("linear"))
+        factor = {"linear": lambda: [-unit_multiple(False), one()],
+                  "root": lambda: [-unit_multiple(True), zero(), one()],
+                  "random": lambda: [entry(), entry(), one()]}[kind]()
+        poly = _poly_mul(poly, factor)
+    return Polynomial.of(poly), n
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_eigen_polys())
+def test_eigenvalue_rule_matches_the_candidate_check_oracle(data):
+    p, n = data
+    big_n = _extension_conductor(n, p.degree())
+    assert linalg._unit_root(p, big_n) == _oracle_unit_root(p, big_n)
+    with mock.patch.object(linalg, "_unit_root", _oracle_unit_root):
+        want = poly_roots_in_field(p, n)
+    assert poly_roots_in_field(p, n) == want
+
+
+def test_false_p0_candidates_are_rejected_by_the_integer_test():
+    # p = y^2 + i y - 1 has the roots zeta_12^7 and zeta_12^11.  At u = 1 the
+    # trace row P_0 = 8 y^2 - 8 (Tr(i) = 0 in Q(zeta_24)) has the roots +-1,
+    # which are not roots of p: the integer test must reject them, so that p
+    # itself is evaluated only at the root the rule returns.
+    p = Polynomial.of([-1, zeta(4), 1])
+    assert [row[0] for row in cyclotomic._trace_rows(p.coeffs, 24)] == [-8, 0, 8]
+    evaluated, evaluate = [], Polynomial.__call__
+    with mock.patch.object(Polynomial, "__call__",
+                           lambda self, x: evaluated.append(x) or evaluate(self, x)):
+        root = linalg._unit_root(p, 24)
+    assert root == zeta(12, 7) and evaluated == [root]

@@ -1,0 +1,91 @@
+"""Replay a seeded corpus of local monodromy factors through the eigenvalue rule.
+
+The corpus has 70 rank-2 and 10 rank-3 matrices over Q(zeta_n) for each
+conductor n = 1..60.  Half have random entries (small multiples of powers of
+zeta_n); the other half are block diagonals conjugated by a unimodular
+integer matrix, with 1 x 1 blocks c zeta_n^k (c rational) and 2 x 2 blocks
+x^2 - a, where a is either c^2 zeta_n^k, so the roots lie in the degree-bounded
+extension, or a random entry.  So split, extension and non-split
+characteristic polynomials all occur.  The characteristic polynomials are
+computed first; then ``linalg.poly_roots_in_field(p, n)`` runs on each, n the
+lcm of the entries' conductors, with its wall time summed per rank.  One
+SHA-256 over the outputs is printed, so two checkouts print equal hashes
+exactly when the rule answers every factor alike.
+
+    python tools/eigen_parity.py --seed 1
+    python tools/eigen_parity.py --root ../other-checkout --seed 1
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import random
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+CONDUCTORS = range(1, 61)
+PER_CONDUCTOR = {2: 70, 3: 10}
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                   help="checkout whose src/ is used (default: this one)")
+    p.add_argument("--seed", type=int, required=True)
+    args = p.parse_args()
+    sys.path.insert(0, str(args.root / "src"))
+    from rigidmono import Matrix, charpoly, rational, zeta
+    from rigidmono.linalg import poly_roots_in_field
+
+    rng = random.Random(args.seed)
+
+    def entry(n):
+        return sum((rational(rng.randint(-3, 3)) * zeta(n, rng.randrange(n))
+                    for _ in range(rng.randint(1, 2))), rational(0))
+
+    def unit_multiple(n, square):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        return rational(c * c if square else c) * zeta(n, rng.randrange(n))
+
+    def factor(n, r):
+        if rng.random() < 0.5:
+            return Matrix.from_rows([[entry(n) for _ in range(r)] for _ in range(r)])
+        rows = [[rational(0)] * r for _ in range(r)]
+        i = 0
+        while i < r:
+            if i + 1 < r and rng.random() < 0.5:  # the companion block of x^2 - a
+                a = unit_multiple(n, True) if rng.random() < 0.5 else entry(n)
+                rows[i][i + 1], rows[i + 1][i], i = a, rational(1), i + 2
+            else:
+                rows[i][i], i = unit_multiple(n, False), i + 1
+        lower = Matrix.from_rows([[rng.randint(-2, 2) if j < i else int(i == j)
+                                   for j in range(r)] for i in range(r)])
+        upper = Matrix.from_rows([[rng.randint(-2, 2) if j > i else int(i == j)
+                                   for j in range(r)] for i in range(r)])
+        conj = lower @ upper
+        return conj @ Matrix.from_rows(rows) @ conj.inverse()
+
+    polys = {r: [] for r in PER_CONDUCTOR}
+    for n in CONDUCTORS:
+        for r, count in PER_CONDUCTOR.items():
+            for _ in range(count):
+                a = factor(n, r)
+                polys[r].append((charpoly(a), math.lcm(*(e.conductor for e in a.entries))))
+    digest = hashlib.sha256()
+    for r, items in polys.items():
+        split, t0 = 0, time.perf_counter()
+        outs = [poly_roots_in_field(poly, n) for poly, n in items]
+        elapsed = time.perf_counter() - t0
+        for out in outs:
+            split += out is not None
+            digest.update(repr(out).encode() + b"\n")
+        print(f"rank {r}  {len(items)} factors  {split} split  {elapsed:.3f} s")
+    print(f"seed {args.seed}  sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
