@@ -500,8 +500,9 @@ def zeta(n: int, k: int = 1) -> CycNum:
 
 
 def sort_key(z: CycNum):
-    """Canonical total order key: conductor, then coordinates lexicographically."""
-    return (z.conductor, z.coeffs)
+    """Canonical total order key: conductor, then coordinates lexicographically
+    (integers when the denominator is 1; they compare exactly with Fractions)."""
+    return (z.conductor, z.num) if z.den == 1 else (z.conductor, z.coeffs)
 
 
 def root_of_unity_order(z: CycNum) -> int | None:

@@ -250,9 +250,11 @@ def chart_to_json(cp: TraceChartPoint) -> dict:
 # -- tori ----------------------------------------------------------------------
 
 def coset_to_json(c: TorsionCoset) -> dict:
+    den = c.den   # each tau is str(Fraction(x, den)), from one gcd
     out = {"N": c.dim,
            "L": [list(row) for row in c.relations],
-           "tau": [rational_to_json(t) for t in c.translate]}
+           "tau": [str(x // g) if g == den else f"{x // g}/{den // g}"
+                   for x in c.num for g in (math.gcd(x, den),)]}
     if c.empty:
         out["empty"] = True
     return out

@@ -12,6 +12,7 @@ scan; inconsistent systems yield the canonical empty coset.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from .errors import BudgetExceeded, ShapeError
 
 DEFAULT_GRID_BUDGET = 2_000_000
 # The non-simple locus formula has O(s^2) entries, and so has its evaluation:
-# at this many punctures both take about half a second.
+# at this many punctures, at a point on every part of its intersection, the
+# build takes about 2 ms and the evaluation about 25 ms (Python 3.11, Xeon).
 NONSIMPLE_LOCUS_MAX_S = 128
 
 
@@ -95,31 +97,40 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     return a, u, v
 
 
-def _diagonalize(rows: list[list[int]], targets: list[Fraction], n: int):
-    """(d, y, V) for <x, row_i> = targets_i (mod 1) in n unknowns, or None if
-    inconsistent (H. Cohen, GTM 138, section 2.4): with S = U rows V and x = V y
-    the system is d_k y_k = (U t)_k (mod 1), d_k = S_kk or 0 past the rank, so
-    y is one solution and y_k + j / d_k (any y_k if d_k = 0) all of them."""
+def _diagonalize(rows: list[list[int]], targets: list[int], den: int, n: int):
+    """(d, y, big, V) for <x, row_i> = targets_i / den (mod 1) in n unknowns,
+    or None if inconsistent (H. Cohen, GTM 138, section 2.4): with S = U rows V
+    and x = V y the system is d_k y_k = (U t)_k (mod 1), d_k = S_kk or 0 past
+    the rank, so y (numerators over big = den lcm(d_k)) is one solution and
+    y_k + j / d_k (any y_k if d_k = 0) all of them."""
     s, u, v = smith_normal_form(rows)
     d = [s[k][k] if k < len(s) else 0 for k in range(n)]
-    y = [Fraction(0)] * n
+    big = den * math.lcm(*(dk for dk in d if dk))
+    y = [0] * n
     for i, urow in enumerate(u):
         ut = sum(c * t for c, t in zip(urow, targets))
         if i < n and d[i]:
-            y[i] = Fraction(ut, d[i])
-        elif ut.denominator != 1:
+            y[i] = ut * (big // (den * d[i]))
+        elif ut % den:
             return None
-    return d, y, v
+    return d, y, big, v
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    # Rationals as integer numerators over their least common denominator.
+    vals = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in vals))
+    return [x.numerator * (den // x.denominator) for x in vals], den
 
 
 def solve_congruences(rows: list[list[int]], targets: list[Fraction], n: int) -> list[Fraction] | None:
     """A rational x with <x, row_i> = targets_i (mod 1) for all i, or None."""
     if not rows:
         return [Fraction(0)] * n
-    if (solved := _diagonalize(rows, targets, n)) is None:
+    if (solved := _diagonalize(rows, *_over_lcm(targets), n)) is None:
         return None
-    _, y, v = solved
-    return [sum(c * yk for c, yk in zip(row, y)) % 1 for row in v]
+    _, y, big, v = solved
+    return [Fraction(sum(c * yk for c, yk in zip(row, y)) % big, big) for row in v]
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +140,24 @@ def solve_congruences(rows: list[list[int]], targets: list[Fraction], n: int) ->
 class TorsionCoset:
     """A torsion-translated subtorus of (C*)^N.
 
-    ``relations`` rows are the exponent vectors v; ``translate`` is the
-    rational vector t mod 1.  The flag ``empty`` marks the canonical empty
-    coset produced by an inconsistent intersection (the (L, t) form itself
-    always contains the witness point e^(2 pi i t)).
+    ``relations`` rows are the exponent vectors v; the translate t mod 1 is
+    stored as integer numerators ``num`` in [0, den) over one positive ``den``
+    with gcd(den, *num) = 1, so equal cosets compare and hash equal, and is
+    read as Fractions through ``translate``.  The flag ``empty`` marks the
+    canonical empty coset produced by an inconsistent intersection (the (L, t)
+    form itself always contains the witness point e^(2 pi i t)).
     """
 
     dim: int
     relations: tuple[tuple[int, ...], ...]
-    translate: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
     empty: bool = field(default=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ShapeError("ambient dimension must be positive")
-        if len(self.translate) != self.dim:
+        if len(self.num) != self.dim:
             raise ShapeError("translate length must equal the ambient dimension")
         for row in self.relations:
             if len(row) != self.dim:
@@ -152,16 +166,22 @@ class TorsionCoset:
     @classmethod
     def of(cls, dim: int, relations, translate) -> TorsionCoset:
         rel = tuple(tuple(int(x) for x in row) for row in relations)
-        tra = tuple(Fraction(x) % 1 for x in translate)
-        return cls(dim, rel, tra)
+        # Over the lcm of reduced denominators, gcd(den, *num) is already 1.
+        num, den = _over_lcm(translate)
+        return cls(dim, rel, tuple(x % den for x in num), den)
 
     @classmethod
     def empty_set(cls, dim: int) -> TorsionCoset:
-        return cls(dim, ((0,) * dim,), (Fraction(0),) * dim, empty=True)
+        return cls(dim, ((0,) * dim,), (0,) * dim, empty=True)
 
     @classmethod
     def full_torus(cls, dim: int) -> TorsionCoset:
-        return cls(dim, (), (Fraction(0),) * dim)
+        return cls(dim, (), (0,) * dim)
+
+    @property
+    def translate(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     def is_empty(self) -> bool:
         return self.empty
@@ -169,26 +189,24 @@ class TorsionCoset:
 
 def coset_membership(q, c: TorsionCoset) -> bool:
     """Whether the torsion point e^(2 pi i q) lies on the coset."""
-    q = [Fraction(x) for x in q]
-    if len(q) != c.dim:
-        raise ShapeError(f"point has dimension {len(q)}, coset ambient is {c.dim}")
+    qn, qd = _over_lcm(q)
+    if len(qn) != c.dim:
+        raise ShapeError(f"point has dimension {len(qn)}, coset ambient is {c.dim}")
     if c.empty:
         return False
-    for row in c.relations:
-        val = sum((x - t) * v for x, t, v in zip(q, c.translate, row))
-        if val.denominator != 1:
-            return False
-    return True
+    # <q - t, v> is an integer iff qd den <q - t, v> vanishes mod qd den.
+    diff, mod = [x * c.den - t * qd for x, t in zip(qn, c.num)], qd * c.den
+    return all(not sum(x * v for x, v in zip(diff, row)) % mod for row in c.relations)
 
 
-def _targets(c: TorsionCoset) -> list[Fraction]:
-    # <t, v> for each relation row v of the coset.
-    return [sum(t * v for t, v in zip(c.translate, row)) for row in c.relations]
+def _targets(c: TorsionCoset, den: int) -> list[int]:
+    # den <t, v> for each relation row v of the coset; c.den divides den.
+    return [sum(t * v for t, v in zip(c.num, row)) * (den // c.den) for row in c.relations]
 
 
-def _resolved(n: int, rows: list[list[int]], targets: list[Fraction]) -> TorsionCoset:
+def _resolved(n: int, rows: list[list[int]], targets: list[int], den: int) -> TorsionCoset:
     # The coset of the given rows through a common solution, or the empty coset.
-    tau = solve_congruences(rows, targets, n)
+    tau = solve_congruences(rows, [Fraction(t, den) for t in targets], n)
     return TorsionCoset.empty_set(n) if tau is None else TorsionCoset.of(n, rows, tau)
 
 
@@ -200,7 +218,8 @@ def coset_intersect(a: TorsionCoset, b: TorsionCoset) -> TorsionCoset:
     if a.empty or b.empty:
         return TorsionCoset.empty_set(a.dim)
     rows = [list(r) for r in a.relations] + [list(r) for r in b.relations]
-    return _resolved(a.dim, rows, _targets(a) + _targets(b))
+    den = math.lcm(a.den, b.den)
+    return _resolved(a.dim, rows, _targets(a, den) + _targets(b, den), den)
 
 
 def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCoset:
@@ -217,7 +236,7 @@ def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCose
         return TorsionCoset.empty_set(n)
     rows = [[sum(v[i] * a_matrix[i][j] for i in range(m)) for j in range(n)]
             for v in c.relations]
-    return _resolved(n, rows, _targets(c))
+    return _resolved(n, rows, _targets(c, c.den), c.den)
 
 
 def enumerate_torsion(c: TorsionCoset, order_bound: int,
@@ -235,11 +254,12 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int,
     if c.empty:
         return set()
     rows = [list(r) for r in c.relations] + [[b * (i == j) for j in range(n)] for i in range(n)]
-    if (solved := _diagonalize(rows, _targets(c) + [Fraction(0)] * n, n)) is None:
+    if (solved := _diagonalize(rows, _targets(c, c.den) + [0] * n, c.den, n)) is None:
         return set()
-    d, y, v = solved
-    steps = (range(int(b * yk), int(b * yk) + b, b // dk) for yk, dk in zip(y, d))
-    return {tuple(Fraction(sum(w * x for w, x in zip(row, by)) % b, b) for row in v)
+    d, y, big, v = solved
+    steps = (range(b * yk // big, b * yk // big + b, b // dk) for yk, dk in zip(y, d))
+    over_b = [Fraction(i, b) for i in range(b)]
+    return {tuple(over_b[sum(w * x for w, x in zip(row, by)) % b] for row in v)
             for by in itertools.product(*steps)}
 
 
@@ -312,14 +332,14 @@ def nonsimple_locus_formula(s: int, triple) -> TorusFormula:
     if len(triple) != 3 or not all(1 <= i <= s for i in triple):
         raise ShapeError("triple must pick 3 distinct points in 1..s")
     n = 2 * s
-    zeros = (Fraction(0),) * n
-    parts = [TorusFormula.leaf(TorsionCoset.of(n, ((1,) * n,), zeros))]
+    zeros = (0,) * n
+    parts = [TorusFormula.leaf(TorsionCoset(n, ((1,) * n,), zeros))]
     rest = [i for i in range(1, s + 1) if i not in triple]
     for i in rest:
         row = [0] * n
         row[2 * (i - 1)] = 1
         row[2 * (i - 1) + 1] = -1
-        parts.append(TorusFormula.leaf(TorsionCoset.of(n, (row,), zeros)))
+        parts.append(TorusFormula.leaf(TorsionCoset(n, (tuple(row),), zeros)))
     i1, i2, i3 = sorted(triple)
     choices = []
     cols = [(j, k, l, m) for j in (0, 1) for k in (0, 1) for l in (0, 1)
@@ -331,7 +351,7 @@ def nonsimple_locus_formula(s: int, triple) -> TorusFormula:
         row[2 * (i3 - 1) + l] += 1
         for i in rest:
             row[2 * (i - 1) + m] += 1
-        choices.append(TorusFormula.leaf(TorsionCoset.of(n, (row,), zeros)))
+        choices.append(TorusFormula.leaf(TorsionCoset(n, (tuple(row),), zeros)))
     parts.append(TorusFormula.union(*choices))
     return TorusFormula.intersection(*parts)
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidmono import CycNum, rational, zeta
+from rigidmono import CycNum, rational, sort_key, zeta
 
 CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 15, 24, 60)
 
@@ -131,3 +131,27 @@ def test_equal_values_from_different_conductors_hash_equal(data, t):
     detour = (z + zeta(n * t)) - zeta(n * t)
     assert lifted == z == detour
     assert hash(lifted) == hash(z) == hash(detour) and len({z, lifted, detour}) == 1
+
+
+@st.composite
+def mixed_values(draw):
+    # Values at one conductor, some with all-integer coordinates (den 1) and
+    # some with fractional ones, so both forms of the sort key meet.
+    n = draw(st.sampled_from(CONDUCTORS))
+    ints = st.lists(st.integers(-3, 3), min_size=phi(n), max_size=phi(n))
+    fracs = st.lists(fractions, min_size=phi(n), max_size=phi(n))
+    return [CycNum.from_coeffs(u, n) for u in draw(st.lists(st.one_of(ints, fracs),
+                                                             min_size=2, max_size=8))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_values())
+def test_sort_key_orders_like_the_fraction_key(values):
+    def fraction_key(z):   # the Fraction-tuple key, kept as the oracle
+        return (z.conductor, z.coeffs)
+
+    for a in values:
+        for b in values:
+            assert (sort_key(a) < sort_key(b)) == (fraction_key(a) < fraction_key(b))
+            assert (sort_key(a) == sort_key(b)) == (fraction_key(a) == fraction_key(b))
+    assert sorted(values, key=sort_key) == sorted(values, key=fraction_key)

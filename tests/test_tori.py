@@ -2,7 +2,7 @@ import itertools
 import random
 from datetime import timedelta
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from rigidmono import (TorsionCoset, TorusFormula, coset_intersect, coset_member
                        nonsimple_locus_formula, nonsimple_test_s3, residue_vector,
                        smith_normal_form)
 from rigidmono.errors import BudgetExceeded, ShapeError
+from rigidmono.serialize import coset_to_json
 from rigidmono.tori import solve_congruences
 
 F = Fraction
@@ -266,3 +267,102 @@ def test_solve_congruences_answers_lie_on_the_coset(coset_and_bound, data):
     bad_row = [sum(k * r[j] for k, r in zip(combo, rows)) for j in range(c.dim)]
     bad_target = sum((k * t for k, t in zip(combo, targets)), shift)
     assert solve_congruences(rows + [bad_row], targets + [bad_target], c.dim) is None
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction rules it replaced, kept as oracles.
+
+def _fraction_translate(tau):
+    return tuple(Fraction(x) % 1 for x in tau)
+
+
+def _fraction_member(q, c):
+    return not c.empty and all(
+        sum((F(x) - t) * v for x, t, v in zip(q, c.translate, row)).denominator == 1
+        for row in c.relations)
+
+
+def _fraction_resolved(n, rows, targets):
+    # (empty, relations, translate) of the Fraction Smith-form solve.
+    if not rows:
+        return False, (), (F(0),) * n
+    s, u, v = smith_normal_form(rows)
+    d = [s[k][k] if k < len(s) else 0 for k in range(n)]
+    y = [F(0)] * n
+    for i, urow in enumerate(u):
+        ut = sum(c * t for c, t in zip(urow, targets))
+        if i < n and d[i]:
+            y[i] = F(ut, d[i])
+        elif ut.denominator != 1:
+            return True, ((0,) * n,), (F(0),) * n
+    x = [sum(c * yk for c, yk in zip(row, y)) % 1 for row in v]
+    return False, tuple(tuple(r) for r in rows), tuple(x)
+
+
+def _fraction_targets(c):
+    return [sum(t * v for t, v in zip(c.translate, row)) for row in c.relations]
+
+
+def _shape(c):
+    return c.empty, c.relations, c.translate
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds(), st.data())
+def test_translate_and_membership_match_the_fraction_rules(coset_and_bound, data):
+    c, b = coset_and_bound
+    # The same translate shifted by integers and written over a multiple of
+    # its denominator: Fraction(x) % 1 reads it back.
+    k = data.draw(st.integers(1, 5))
+    shifts = data.draw(st.lists(st.integers(-3, 3), min_size=c.dim, max_size=c.dim))
+    raw = [F((t + s) * k) / k for t, s in zip(c.translate, shifts)]
+    again = TorsionCoset.of(c.dim, c.relations, raw)
+    assert again.translate == _fraction_translate(raw)
+    assert gcd(again.den, *again.num) == 1 and all(0 <= x < again.den for x in again.num)
+    on = list(itertools.islice(enumerate_torsion(c, b), 4)) + [c.translate]
+    grid = st.integers(0, b - 1).map(lambda i: F(i, b))
+    off = st.fractions(min_value=-2, max_value=2, max_denominator=3 * b + 1)
+    points = data.draw(st.lists(st.lists(st.one_of(grid, off), min_size=c.dim, max_size=c.dim),
+                                max_size=6))
+    for q in on + points:
+        assert coset_membership(q, c) == _fraction_member(q, c)
+        assert coset_membership(q, again) == _fraction_member(q, again)
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds(), cosets_with_bounds(), st.data())
+def test_intersect_and_preimage_match_the_fraction_solve(first, second, data):
+    a, b = first[0], second[0]
+    if a.dim == b.dim and not (a.empty or b.empty):
+        rows = [list(r) for r in a.relations + b.relations]
+        expected = _fraction_resolved(a.dim, rows, _fraction_targets(a) + _fraction_targets(b))
+        assert _shape(coset_intersect(a, b)) == expected
+    if a.empty:
+        return
+    n = data.draw(st.integers(1, 4))
+    mat = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                             min_size=a.dim, max_size=a.dim))
+    rows = [[sum(v[i] * mat[i][j] for i in range(a.dim)) for j in range(n)]
+            for v in a.relations]
+    assert _shape(monomial_preimage(a, mat)) == _fraction_resolved(n, rows, _fraction_targets(a))
+
+
+@settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds(), st.integers(1, 6), st.lists(st.integers(-4, 4), min_size=4))
+def test_translates_have_one_canonical_form(coset_and_bound, k, shifts):
+    c, _ = coset_and_bound
+    if c.empty:
+        return
+    # Unreduced numerators over k den, moved by whole turns, give one coset.
+    tau = [F(x * k + s * k * c.den, k * c.den) for x, s in zip(c.num, shifts + [0] * c.dim)]
+    same = TorsionCoset.of(c.dim, c.relations, tau)
+    assert same == c and hash(same) == hash(c)
+    assert (same.num, same.den) == (c.num, c.den)
+
+
+@settings(max_examples=200, derandomize=True, deadline=timedelta(seconds=5))
+@given(cosets_with_bounds())
+def test_coset_json_tau_strings_are_fraction_strings(coset_and_bound):
+    c, _ = coset_and_bound
+    assert coset_to_json(c)["tau"] == [str(t) for t in c.translate]
+    assert [str(t) for t in c.translate] == [str(F(x, c.den)) for x in c.num]
