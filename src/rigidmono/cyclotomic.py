@@ -3,11 +3,12 @@
 A CycNum stores an element of Q(zeta_n) as sum(a_i zeta_n^i) / d in the power
 basis of Q[x]/(Phi_n), Phi_n the n-th cyclotomic polynomial, with integer a_i
 over one positive denominator d in lowest terms (ANTIC's nf_elem layout).
-Arithmetic and conductor descent run on integers; Fraction coordinates are
-built only for callers that read them.  The stored conductor is always
-minimal: every result is re-expressed in the smallest Q(zeta_m) with m | n
-that contains it, so equality is plain comparison.  Zero and the rationals
-live at conductor 1.
+Arithmetic runs on integers; Fraction coordinates are built only for callers
+that read them.  The stored conductor is always minimal, so equality is plain
+comparison: every result passes through one normalization point, which
+descends one prime at a time by relative power bases, with integer rows and
+no linear solve (see ``_descent_data``).  Zero and the rationals live at
+conductor 1.
 
 >>> zeta(4) * zeta(4)
 CycNum(-1)
@@ -167,69 +168,57 @@ def _apply_exponent(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
 # Conductor descent.
 
 @lru_cache(maxsize=None)
-def _descent_data(n: int, m: int):
-    """Integer data for testing membership of Q(zeta_n) elements in Q(zeta_m).
+def _descent_data(n: int, p: int):
+    """Sparse integer rows for the prime step from Q(zeta_n) to Q(zeta_m), m = n/p.
 
-    Returns (fixedness tests, solver rows, scale): per kernel automorphism the
-    column-wise integer matrix of its action (for an early-exit fixed-point
-    test), and ``scale`` times the top phi(m) rows of a matrix T with
-    T . embed = identity, so that solver . num / scale reads off conductor m.
+    They rewrite coordinates at n in the basis zeta_m^a w_b, a < phi(m), where
+    w_0 = 1, w_1, ... is a relative power basis of Q(zeta_n) over Q(zeta_m):
+    if p | m, w_b = zeta_n^b (b < p) and zeta_n^i = zeta_m^(i // p) zeta_n^(i % p);
+    else w_b = zeta_p^b (b < p - 1) and zeta_n^i = zeta_m^(iu) zeta_p^(iv) with
+    up + vm = 1, where zeta_p^(p-1) = -(w_0 + ... + w_(p-2)).  An element lies in
+    Q(zeta_m) exactly when its components b >= 1 vanish, and its component
+    b = 0 is then its coordinates at m.  Returns (others, first), the rows of
+    (i, a) pairs, a the integer multiplier of num[i], for those components.
     """
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    kernel = tuple(k for k in range(2, n) if math.gcd(k, n) == 1 and k % m == 1)
-    table = _power_table(n)
-    # Column i of the action: image_i = sum_j num[j] * table[(jk) % n][i].
-    tests = tuple(tuple(tuple((j, table[(j * k) % n][i]) for j in range(phi_n)
-                              if table[(j * k) % n][i])
-                        for i in range(phi_n))
-                  for k in kernel)
-    # Embedding matrix: column j is zeta_m^j written at conductor n.  Row
-    # reduce [E | I] over Q to express the coordinate functionals.
-    step = n // m
-    aug = [[Fraction(table[j * step][i]) for j in range(phi_m)]
-           + [Fraction(k == i) for k in range(phi_n)]
-           for i in range(phi_n)]
-    for col in range(phi_m):
-        piv = next(i for i in range(col, phi_n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(phi_n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    solver = [row[phi_m:] for row in aug[:phi_m]]
-    scale = math.lcm(*(v.denominator for row in solver for v in row))
-    return tests, tuple(tuple(int(v * scale) for v in row) for row in solver), scale
+    m, coprime = n // p, n // p % p != 0
+    u = pow(p, -1, m) if coprime else 0
+    v = (1 - u * p) // m
+    parts = [[[] for _ in range(euler_phi(m))] for _ in range(p - coprime)]
+    for i in range(euler_phi(n)):
+        e, b = (i * u % m, i * v % p) if coprime else divmod(i, p)
+        for a, c in _sparse_rows(m)[e]:
+            if b < len(parts):
+                parts[b][a].append((i, c))
+            else:  # b = p - 1: w_b = -(w_0 + ... + w_(p-2))
+                for part in parts:
+                    part[a].append((i, -c))
+    return (tuple(tuple(row) for part in parts[1:] for row in part),
+            tuple(map(tuple, parts[0])))
 
 
-def _is_fixed(cols, num) -> bool:
-    # Early-exit coordinate comparison of sigma(z) against z.
-    for c, col in zip(num, cols):
+def _vanishes(rows, num) -> bool:
+    # Whether every sparse row's combination of num is zero, stopping at the first that is not.
+    for row in rows:
         acc = 0
-        for j, mult in col:
-            acc += num[j] * mult
-        if acc != c:
+        for i, a in row:
+            acc += num[i] * a
+        if acc:
             return False
     return True
 
 
 def _normalize(n: int, num: list[int], den: int) -> CycNum:
     """The element num/den at conductor n, in canonical form: descend to the
-    minimal conductor, then divide out the gcd."""
+    minimal conductor one prime at a time, then divide out the gcd."""
     while n > 1:
         if not any(num[1:]):
             n, num = 1, num[:1]
             break
         for p in _prime_divisors(n):
-            m = n // p
-            if m == 1:
-                continue  # n prime: only the rationals lie below, caught above
-            tests, solver, scale = _descent_data(n, m)
-            if all(_is_fixed(cols, num) for cols in tests):
-                num = [sum(r * c for r, c in zip(row, num)) for row in solver]
-                den *= scale
-                n = m
+            others, first = _descent_data(n, p)
+            if _vanishes(others, num):
+                num = [sum([num[i] * a for i, a in row]) for row in first]
+                n //= p
                 break
         else:
             break

@@ -65,7 +65,7 @@ def _ratio_from_json(obj, what: str) -> tuple[int, int]:
     # (p, q), q != 0, from a Fraction string, an int or a pair of ints or int strings (no bool).
     try:
         if isinstance(obj, str):
-            f = Fraction(obj)
+            f = rational_from_json(obj, what)
             return f.numerator, f.denominator
         if type(obj) is int:
             return obj, 1
@@ -74,13 +74,16 @@ def _ratio_from_json(obj, what: str) -> tuple[int, int]:
             p, q = int(obj[0]), int(obj[1])
             _require(q != 0, f"{what}: bad fraction {obj!r}")
             return p, q
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
     raise SchemaError(f"{what}: expected a fraction string, got {obj!r}")
 
 
 def rational_from_json(obj, what: str = "rational") -> Fraction:
-    return Fraction(*_ratio_from_json(obj, what))
+    try:  # a string takes one Fraction construction
+        return Fraction(obj) if isinstance(obj, str) else Fraction(*_ratio_from_json(obj, what))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
 
 
 # -- scalars -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rigidmono import (CycNum, GaloisElement, cyclotomic_polynomial, euler_phi, galois_apply,
                        galois_group, one, rational, root_of_unity_order, unit_exp, unit_log,
                        zero, zeta)
+from rigidmono import cyclotomic
 from rigidmono.cyclotomic import _lift
 from rigidmono.errors import FieldMismatch, InvalidAutomorphism, InvalidConductor
 
@@ -93,6 +95,27 @@ def test_inverse_roundtrip():
             assert v * v.inverse() == one()
 
 
+# Conductors whose descent steps take both branches of the relative-basis rule:
+# an odd p dividing m = n/p (36, 45, 63), three odd primes (105, 231), and a
+# declared n = 2 (mod 4) whose step p = 2 lands on an odd m (30, 42, 90, 210).
+DESCENT_CONDUCTORS = [36, 45, 63, 105, 231, 30, 42, 90, 210]
+
+
+def _random_at(rng: random.Random, d: int) -> CycNum:
+    return CycNum.from_coeffs([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(euler_phi(d))], d)
+
+
+def _subfield_sum(rng: random.Random, n: int) -> list[Fraction]:
+    # Coordinates at n of a sum of random elements of two subfields Q(zeta_d), d | n,
+    # so that the sum descends part of the way, all of it, or not at all.
+    out = [Fraction(0)] * euler_phi(n)
+    for _ in range(2):
+        v = _random_at(rng, rng.choice([d for d in range(1, n + 1) if n % d == 0]))
+        out = [x + Fraction(c, v.den) for x, c in zip(out, _lift(v.num, v.conductor, n))]
+    return out
+
+
 def test_conductor_minimality_under_reexpression():
     # Re-expressing an element at any multiple of its conductor must come back
     # to the same stored conductor and coordinates.
@@ -103,6 +126,15 @@ def test_conductor_minimality_under_reexpression():
             w = CycNum.from_coeffs(lifted, n)
             assert w == v
             assert w.conductor == v.conductor
+    rng = random.Random(23)
+    for n in DESCENT_CONDUCTORS:
+        for d in range(1, n):
+            if n % d == 0:
+                v = _random_at(rng, d)
+                lifted = [Fraction(c, v.den) for c in _lift(v.num, v.conductor, n)]
+                w = CycNum.from_coeffs(lifted, n)
+                assert w == v
+                assert w.conductor == v.conductor
 
 
 def _in_subfield_bruteforce(z: CycNum, d: int) -> bool:
@@ -139,6 +171,15 @@ def test_conductor_is_minimal_against_bruteforce():
         for d in range(1, z.conductor):
             if z.conductor % d == 0:
                 assert not _in_subfield_bruteforce(z, d), (z, d)
+    for n in DESCENT_CONDUCTORS:
+        for _ in range(4):
+            coeffs = _subfield_sum(rng, n)
+            z = CycNum.from_coeffs(coeffs, n)
+            assert n % z.conductor == 0
+            assert z == sum((c * zeta(n, k) for k, c in enumerate(coeffs)), zero())
+            for d in range(1, z.conductor):
+                if z.conductor % d == 0:
+                    assert not _in_subfield_bruteforce(z, d), (z, d)
 
 
 def test_stored_conductor_never_two_mod_four():
@@ -148,6 +189,22 @@ def test_stored_conductor_never_two_mod_four():
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(euler_phi(n))]
         z = CycNum.from_coeffs(coeffs, n)
         assert z.conductor == 1 or z.conductor % 4 != 2
+    for n in DESCENT_CONDUCTORS:
+        for _ in range(10):
+            z = CycNum.from_coeffs(_subfield_sum(rng, n), n)
+            assert z.conductor == 1 or z.conductor % 4 != 2
+
+
+def test_descent_from_conductor_231_builds_its_rows_quickly():
+    # 231 = 3 * 7 * 11 is under the default conductor cap of 240, and a
+    # one-line request pays the first build of its descent rows in full.
+    v = zeta(77) + rational(Fraction(1, 2))
+    num = list(_lift(v.num, 77, 231))
+    cyclotomic._descent_data.cache_clear()
+    start = time.perf_counter()
+    z = cyclotomic._normalize(231, num, v.den)
+    assert time.perf_counter() - start < 0.25
+    assert z == v and z.conductor == 77
 
 
 def test_root_of_unity_orders():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -268,3 +269,57 @@ def test_defect_zero_iff_three_nonscalar():
         nonscalar = s - len(scalar_points(t))
         assert (rep.defect == 0) == (nonscalar == 3)
     assert seen_irreducible > 50
+
+
+def _monic(roots) -> list:
+    # Coefficients of prod(x - z) over the roots z, lowest degree first.
+    c = [one()]
+    for z in roots:
+        c = [-z * c[0]] + [c[k - 1] - z * c[k] for k in range(1, len(c))] + [c[-1]]
+    return c
+
+
+def _companion(roots) -> Matrix:
+    # Ones below the diagonal, last column -c_0, ..., -c_(r-1): charpoly prod(x - z).
+    r, c = len(roots), _monic(roots)
+    return Matrix(r, r, tuple(-c[i] if j == r - 1 else (one() if i == j + 1 else zero())
+                              for i in range(r) for j in range(r)))
+
+
+@st.composite
+def _levelt_exponents(draw, r: int):
+    # a_i = zeta_n^(k_i) and b_j = zeta_n^(l_j) at one conductor n <= 60; half the
+    # draws force a shared value, so both verdicts occur.  Equal multisets would
+    # make A = B and the middle factor the identity, outside Levelt's setting.
+    n = draw(st.integers(1, 60))
+    exponents = st.lists(st.integers(0, n - 1), min_size=r, max_size=r)
+    ks, ls = draw(exponents), draw(exponents)
+    if draw(st.booleans()):
+        ls[draw(st.integers(0, r - 1))] = ks[draw(st.integers(0, r - 1))]
+    assume(sorted(ks) != sorted(ls))
+    return [zeta(n, k) for k in ks], [zeta(n, k) for k in ls]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_levelt_hypergeometric_triples(r, data):
+    # Levelt: with A, B the companion matrices of prod(x - a_i) and prod(x - b_j),
+    # (A, A^-1 B, B^-1) is a tuple whose middle factor is a pseudo-reflection
+    # (B - A has rank one).  A and B^-1 are regular, so the centralizers have
+    # dimensions r, (r - 1)^2 + 1, r, summing to the rigidity threshold r^2 + 2;
+    # the tuple is irreducible exactly when no a_i equals a b_j (Beukers-Heckman).
+    a, b = data.draw(_levelt_exponents(r))
+    big_a, big_b = _companion(a), _companion(b)
+    t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
+    reducible = any(x == y for x in a for y in b)
+    rep = katz_report(t)
+    assert rep.centralizer_dims == (r, (r - 1) ** 2 + 1, r)
+    assert rep.verdict == ("not-applicable(reducible)" if reducible else "rigid")
+    lam = math.prod(b, start=one()) * math.prod(a, start=one()).inverse()
+    factors = [a, [one()] * (r - 1) + [lam], [y.inverse() for y in b]]
+    data = mon(t)  # charpoly and eigenvalues_split of each factor
+    assert data.charpolys == tuple(Polynomial.of(_monic(roots)) for roots in factors)
+    assert data.eigen == EigenData.of(factors)
+    if r == 2:
+        assert common_eigenvector_exists(t) is reducible

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random
 from rigidmono import (ComponentSpec, CycNum, GaloisElement, TorsionCoset, TorusFormula,
                        deligne_residues, rational, zeta)
 from rigidmono.cyclotomic import euler_phi
+from rigidmono import cli
 from rigidmono import serialize as wire
 from rigidmono.errors import SchemaError
 
@@ -25,6 +27,13 @@ def test_rational_strings():
         wire.rational_from_json("x/y")
     with pytest.raises(SchemaError):
         wire.rational_from_json("1/0")
+
+
+def test_a_string_rational_takes_one_fraction(monkeypatch):
+    made = []
+    monkeypatch.setattr(wire, "Fraction", lambda *args: made.append(args) or F(*args))
+    assert wire.rational_from_json("6/8") == F(3, 4)
+    assert made == [("6/8",)]
 
 
 def test_cyc_roundtrip():
@@ -168,17 +177,24 @@ def test_integer_decoder_matches_the_fraction_path(case):
     assert z == ref
 
 
-def test_rational_forms_accepted_and_refused():
+def test_rational_forms_accepted_and_refused(capsys):
     for obj, value in [("2/4", F(1, 2)), ("+3", F(3)), (" 3 ", F(3)), ("1.5", F(3, 2)),
                        ("1e3", F(1000)), ("3_000", F(3000)), (7, F(7)), (["1", "-2"], F(-1, 2)),
-                       ([3, -6], F(-1, 2)), ([" 4 ", "6"], F(2, 3))]:
+                       ([3, -6], F(-1, 2)), ([" 4 ", "6"], F(2, 3)), ("-0", F(0)),
+                       (" -7/21 ", F(-1, 3)), ("-.5", F(-1, 2)), ("5.", F(5)), ("1E-2", F(1, 100)),
+                       ("٣/4", F(3, 4))]:
         assert wire.rational_from_json(obj) == value
+        assert wire.cyc_from_json({"n": 4, "c": [obj]}) == rational(value)
     for obj in [True, False, 1.5, None, ["1", None], [[1], 3], [1.5, 1], [True, 1], ["1", "0"],
-                [1, 0], ["1.5", "1"], [1, 2, 3], [1], {"p": 1}]:
-        with pytest.raises(SchemaError):
+                [1, 0], ["1.5", "1"], [1, 2, 3], [1], {"p": 1}, "", " ", "1/0", "1/-2", "1/",
+                "/2", "inf", "nan", "1//2", "true", "0x10", "1 /2", "1.5/2"]:
+        with pytest.raises(SchemaError, match="^rational: "):
             wire.rational_from_json(obj)
         with pytest.raises(SchemaError):
             wire.cyc_from_json({"n": 4, "c": ["0", obj]})
+        payload = json.dumps({"points": [[obj, "1"], ["1", "1"], ["1", "1"]]})
+        assert cli.main(["classify", "--input", payload]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "schema-error"
 
 
 def test_cyc_with_more_coordinates_than_its_conductor():
