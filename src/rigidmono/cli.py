@@ -205,7 +205,7 @@ def run(cfg: RunConfig) -> tuple[int, dict | list]:
     """Execute one configured run; returns (exit status, JSON report)."""
     try:
         payload = _load_input(cfg.input_source)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON, digits
         return 1, {"error": "parse-error", "message": str(exc)}
     runner = _COMMANDS[cfg.command][0]
     if cfg.batch:
@@ -236,6 +236,8 @@ def _run_one(runner, payload, cfg: RunConfig) -> tuple[int, dict]:
         return 2, {"error": code, "message": str(exc)}
     except BudgetExceeded as exc:
         return 3, {"error": exc.code, "message": str(exc)}
+    except RecursionError:
+        return 1, {"error": SchemaError.code, "message": "input nested too deeply"}
 
 
 def _write(obj, out: list, indent: str):
@@ -263,15 +265,21 @@ def _write(obj, out: list, indent: str):
         raise TypeError(f"{type(obj).__name__} is not a report type")
 
 
-def _emit(report, output: str | None):
+def _emit(report, output: str | None) -> int:
+    # Writes the report; 1, with the OS error on stderr, when it cannot be written.
     out: list[str] = []
     _write(report, out, "")
     text = "".join(out) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"rigidmono: error: {exc}\n")
+        return 1
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,8 +318,7 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.describe_schema:
-        _emit(_COMMANDS[args.describe_schema][1], args.output)
-        return 0
+        return _emit(_COMMANDS[args.describe_schema][1], args.output)
     if not args.command:
         parser.error("a command is required (or use --describe-schema)")
     if args.order_bound < 1 or args.conductor_cap < 1:
@@ -319,8 +326,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(args.command, args.input, args.output,
                     args.order_bound, args.conductor_cap, args.batch)
     status, report = run(cfg)
-    _emit(report, cfg.output)
-    return status
+    return _emit(report, cfg.output) or status
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
 """Exact dense linear algebra over cyclotomic fields, for small matrices.
 
 A Matrix holds integer power-basis coordinates at one conductor N over one
-denominator.  Arithmetic runs on them at fixed N; a value descends to its
-minimal conductor only as it leaves (entries, traces, determinants and
-characteristic polynomials).  Two routines rest on this.  One incremental,
-division-free row echelon (``_echelon_add``), which divides each kept row by
-its integer content, gives rank and kernel dimension and grows Burnside's
-span of words (``algebra_dim``).  One trace recursion (Faddeev-LeVerrier,
-which divides only by small integers) gives the characteristic polynomial
-and the inverse.  Eigenvalues come from one exact rule: every root (rational)
-x (root of unity) in a degree-bounded cyclotomic extension of the entries'
-field, plus the roots of a quadratic remainder whose discriminant is such a
-number squared.
+denominator, computed when it is built.  Arithmetic runs on them at fixed N;
+a value descends to its minimal conductor only as it leaves (entries, traces,
+determinants and characteristic polynomials).  Two routines rest on this.
+One incremental, division-free row echelon (``_echelon_add``), which divides
+each kept row by its integer content, gives rank and kernel dimension and
+grows Burnside's span of words (``algebra_dim``).  One trace recursion
+(Faddeev-LeVerrier, which divides only by small integers) gives the
+characteristic polynomial and the inverse.  Eigenvalues come from one exact
+rule: every root (rational) x (root of unity) in a degree-bounded cyclotomic
+extension of the entries' field, plus the roots of a quadratic remainder
+whose discriminant is such a number squared.
 """
 from __future__ import annotations
 
@@ -67,10 +67,13 @@ class Polynomial:
 class Matrix:
     """An immutable matrix over Q(zeta_N), row-major as ``(rows, cols,
     conductor, num, den)``: entry i is num[i] / den, num[i] the phi(N) integer
-    power-basis coordinates at N, den > 0 and gcd(den, coordinates) = 1.  N is
-    the lcm of the given entries' conductors; coordinates at one N are unique,
-    so sums, products and == run on them at a common N, which may therefore
-    exceed the entries' least conductor.
+    power-basis coordinates at N, den > 0 and gcd(den, coordinates) = 1.  Every
+    constructor sets them at once: ``Matrix(rows, cols, entries)`` lifts its
+    canonical entries to N, the lcm of their conductors, and keeps them as the
+    ``entries`` cache; the others take coordinates, and their entries are read
+    off on first use.  Coordinates at one N are unique, so sums, products and
+    == run on them at a common N, which may therefore exceed the entries'
+    least conductor.
 
     >>> Matrix.from_rows([[1, 2], [3, 4]]) @ Matrix.identity(2)
     Matrix([[1, 2], [3, 4]])
@@ -84,21 +87,17 @@ class Matrix:
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, "
                              f"got {len(entries)}")
-        self.rows, self.cols, self._entries = rows, cols, tuple(entries)
-
-    def __getattr__(self, name):
-        # Coordinates of a matrix built from entries, on first use (after the wire's cap check).
-        if name not in ("conductor", "num", "den"):
-            raise AttributeError(name)
-        ent = self._entries
+        ent = self._entries = tuple(entries)
         n, den = math.lcm(*(e.conductor for e in ent)), math.lcm(*(e.den for e in ent))
-        self.conductor, self.den, self.num = n, den, tuple(
-            _lift(tuple(c * (den // e.den) for c in e.num), e.conductor, n) for e in ent)
-        return getattr(self, name)
+        self.rows, self.cols, self.conductor, self.den = rows, cols, n, den
+        self.num = tuple(_lift(tuple(c * (den // e.den) for c in e.num), e.conductor, n)
+                         for e in ent)
 
     @classmethod
     def from_coords(cls, rows: int, cols: int, n: int, num, den: int) -> Matrix:
         """Entry i is num[i] / den: num[i] holds phi(n) integers, den > 0."""
+        if rows < 1 or cols < 1:
+            raise ShapeError("matrix dimensions must be positive")
         g = 1 if den == 1 else math.gcd(den, *itertools.chain.from_iterable(num))
         if g != 1:
             num, den = tuple(tuple(v // g for v in x) for x in num), den // g
@@ -122,14 +121,13 @@ class Matrix:
     @classmethod
     def scalar(cls, n: int, value) -> Matrix:
         value = value if isinstance(value, CycNum) else rational(value)
-        z = zero()
-        return cls(n, n, tuple(value if i == j else z
-                               for i in range(n) for j in range(n)))
+        z = (0,) * len(value.num)
+        return cls.from_coords(n, n, value.conductor, tuple(
+            value.num if i % (n + 1) == 0 else z for i in range(n * n)), value.den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
-        z = zero()
-        return cls(rows, cols, (z,) * (rows * cols))
+        return cls.from_coords(rows, cols, 1, ((0,),) * (rows * cols), 1)
 
     @property
     def entries(self) -> tuple[CycNum, ...]:

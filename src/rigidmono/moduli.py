@@ -74,6 +74,17 @@ def nonsimple_test_s3(e: EigenData) -> bool:
                for x in e.points[0] for y in e.points[1] for z in e.points[2])
 
 
+def _scalar_product(e: EigenData, spec: ComponentSpec) -> CycNum | None:
+    # The product of the points outside the triple, or None if one of them is not scalar.
+    k = one()
+    for i, pt in enumerate(e.points, start=1):
+        if i not in spec.triple:
+            if pt[0] != pt[1]:
+                return None
+            k = k * pt[0]
+    return k
+
+
 def component_membership(e: EigenData, spec: ComponentSpec) -> bool:
     """Membership of eigenvalue data in the component named by spec.
 
@@ -85,14 +96,8 @@ def component_membership(e: EigenData, spec: ComponentSpec) -> bool:
         raise ShapeError("component membership requires rank 2")
     if e.punctures != spec.punctures:
         raise ShapeError("eigenvalue data and component spec disagree on s")
-    if e.product != one():
+    if e.product != one() or (scalars := _scalar_product(e, spec)) is None:
         return False
-    scalars = one()
-    for i, pt in enumerate(e.points, start=1):
-        if i not in spec.triple:
-            if pt[0] != pt[1]:
-                return False
-            scalars = scalars * pt[0]
     i1, i2, i3 = sorted(spec.triple)
     for x in e.points[i1 - 1]:
         for y in e.points[i2 - 1]:
@@ -125,10 +130,7 @@ def construct_representative(e: EigenData, spec: ComponentSpec) -> MonodromyTupl
     a1, a2 = e.points[i1 - 1]
     b1, b2 = e.points[i2 - 1]
     c1, c2 = e.points[i3 - 1]
-    scalars = one()
-    for i, pt in enumerate(e.points, start=1):
-        if i not in spec.triple:
-            scalars = scalars * pt[0]
+    scalars = _scalar_product(e, spec)
     u = (scalars * a1).inverse() + (scalars * a2).inverse() - b1 * c1 - b2 * c2
     g2 = Matrix.from_rows([[b1, one()], [rational(0), b2]])
     g3 = Matrix.from_rows([[c1, rational(0)], [u, c2]])

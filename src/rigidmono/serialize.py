@@ -1,17 +1,20 @@
-"""JSON wire formats for every domain type.
+"""JSON wire formats: what the CLI reads and writes.
 
 All rationals travel as strings so no reader ever rounds them; multisets are
 serialized in the canonical order (conductor, then coordinates), making
 reports byte-stable.  Parsers are strict: unknown keys are rejected.  A
-``conductor_cap`` is enforced before any field arithmetic, on each declared
-conductor and on the lcm of the decoded entries' conductors.
+``conductor_cap`` is enforced before any field arithmetic: first on each
+declared conductor, then on the lcm of one matrix's decoded entries before
+the matrix lifts them, then on the lcm of a tuple's matrices (or of all the
+eigenvalues of eigenvalue data) before they are multiplied.
 """
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .cyclotomic import CycNum, GaloisElement, rational, sort_key
+from .cyclotomic import CycNum, rational, sort_key
 from .errors import BudgetExceeded, SchemaError
 from .galois import AbsoluteVerdict
 from .linalg import Matrix, Polynomial
@@ -81,7 +84,13 @@ def _ratio_from_json(obj, what: str) -> tuple[int, int]:
 
 def rational_from_json(obj, what: str = "rational") -> Fraction:
     try:  # a string takes one Fraction construction
-        return Fraction(obj) if isinstance(obj, str) else Fraction(*_ratio_from_json(obj, what))
+        if not isinstance(obj, str):
+            return Fraction(*_ratio_from_json(obj, what))
+        # Fraction expands a decimal exponent in full: refuse one past the integer digit limit.
+        _, e, exp = obj.lower().rpartition("e")
+        if e and abs(int(exp)) > sys.get_int_max_str_digits():
+            raise ValueError(exp)
+        return Fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
 
@@ -108,17 +117,6 @@ def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | Non
     return CycNum.from_ratios([_ratio_from_json(c, what) for c in obj["c"]], n)
 
 
-def galois_to_json(g: GaloisElement) -> dict:
-    return {"n": g.conductor, "k": g.exponent}
-
-
-def galois_from_json(obj) -> GaloisElement:
-    check_keys(obj, {"n", "k"}, "galois element")
-    _require(is_int(obj.get("n")) and is_int(obj.get("k")),
-             "galois element: 'n' and 'k' must be integers")
-    return GaloisElement(obj["n"], obj["k"])
-
-
 # -- matrices and tuples -----------------------------------------------------
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -134,7 +132,9 @@ def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
              f"matrix: expected {rows * cols} entries")
-    return Matrix(rows, cols, tuple(cyc_from_json(v, "matrix entry", conductor_cap) for v in ent))
+    ent = tuple(cyc_from_json(v, "matrix entry", conductor_cap) for v in ent)
+    _enforce_conductor_cap(ent, conductor_cap)  # before the entries are lifted to their lcm
+    return Matrix(rows, cols, ent)
 
 
 def tuple_to_json(t: MonodromyTuple) -> dict:
@@ -147,8 +147,7 @@ def tuple_from_json(obj, conductor_cap: int | None = None) -> MonodromyTuple:
     mats = obj.get("matrices")
     _require(isinstance(mats, list) and mats, "monodromy tuple: 'matrices' must be a non-empty list")
     mats = [matrix_from_json(m, conductor_cap) for m in mats]
-    # Checked before validation multiplies the factors at this conductor.
-    _enforce_conductor_cap((v for m in mats for v in m.entries), conductor_cap)
+    _enforce_conductor_cap(mats, conductor_cap)  # before validation multiplies the factors
     t = MonodromyTuple.of(mats)
     _check_declared(obj, "monodromy tuple", t.rank, t.punctures)
     return t
@@ -161,18 +160,12 @@ def eigen_to_json(e: EigenData) -> dict:
             "points": [[cyc_to_json(v) for v in pt] for pt in e.points]}
 
 
-def _points_from_json(obj, what: str, decode) -> list[list]:
-    # The 'points' of eigenvalue or residue data: a non-empty list of lists.
-    pts = obj.get("points")
-    _require(isinstance(pts, list) and pts, f"{what}: 'points' must be a non-empty list")
-    _require(all(isinstance(pt, list) for pt in pts), f"{what}: each point must be a list")
-    return [[decode(v) for v in pt] for pt in pts]
-
-
 def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
     check_keys(obj, {"r", "s", "points"}, "eigenvalue data")
-    e = EigenData.of(_points_from_json(obj, "eigenvalue data",
-                                       lambda v: cyc_from_json(v, "eigenvalue", conductor_cap)))
+    pts = obj.get("points")
+    _require(isinstance(pts, list) and pts, "eigenvalue data: 'points' must be a non-empty list")
+    _require(all(isinstance(pt, list) for pt in pts), "eigenvalue data: each point must be a list")
+    e = EigenData.of([[cyc_from_json(v, "eigenvalue", conductor_cap) for v in pt] for pt in pts])
     _enforce_conductor_cap((v for pt in e.points for v in pt), conductor_cap)
     _check_declared(obj, "eigenvalue data", e.rank, e.punctures)
     return e
@@ -183,23 +176,11 @@ def residues_to_json(rd: ResidueData) -> dict:
             "points": [[rational_to_json(a) for a in pt] for pt in rd.points]}
 
 
-def residues_from_json(obj) -> ResidueData:
-    check_keys(obj, {"r", "s", "points"}, "residue data")
-    rd = ResidueData.of(_points_from_json(obj, "residue data",
-                                          lambda a: rational_from_json(a, "residue")))
-    _check_declared(obj, "residue data", rd.rank, rd.punctures)
-    return rd
-
-
 def geometry_from_json(obj) -> CurveGeometry:
     check_keys(obj, {"genus", "degH"}, "curve geometry")
     _require(is_int(obj.get("genus")) and is_int(obj.get("degH")),
              "curve geometry: 'genus' and 'degH' must be integers")
     return CurveGeometry(obj["genus"], obj["degH"])
-
-
-def spec_to_json(spec: ComponentSpec) -> dict:
-    return {"s": spec.punctures, "triple": sorted(spec.triple)}
 
 
 def spec_from_json(obj) -> ComponentSpec:

@@ -9,7 +9,6 @@ from rigidmono import Matrix, rational, sort_key, zeta
 from rigidmono import serialize as wire
 from rigidmono import cli
 from rigidmono.cli import COMMANDS, main
-from rigidmono.errors import SchemaError
 from rigidmono.tori import NONSIMPLE_LOCUS_MAX_S
 
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
@@ -237,9 +236,6 @@ def test_non_list_points_exit_1(capsys):
         status, out = run_cli(capsys, "classify", "--input", payload)
         assert status == 1
         assert json.loads(out)["error"] == "schema-error"
-        residues = {"r": 2, "s": 3, "points": [point, ["0", "0"], ["0", "0"]]}
-        with pytest.raises(SchemaError):
-            wire.residues_from_json(residues)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -400,3 +396,48 @@ def test_nonsimple_locus_budget_exit_3(capsys):
     status, out = run_cli(capsys, "tori", "--input", json.dumps(payload))
     assert status == 3
     assert json.loads(out)["error"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"matrices": []}',               # not UTF-8
+    b"[" + b"7" * 4301 + b"]",                  # past the interpreter's integer digit limit
+    b"[" * 5000 + b"]" * 5000,                  # nested past the decoder's recursion limit
+], ids=["non-utf8", "long-integer", "deep-nesting"])
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    status, out = run_cli(capsys, "check", "--input", str(path))
+    assert status == 1
+    assert json.loads(out)["error"] == "parse-error"
+
+
+def test_deeply_nested_formula_is_a_schema_error(capsys):
+    formula = {"N": 1, "L": [[1]], "tau": ["0"]}
+    for _ in range(2000):
+        formula = {"op": "complement", "args": [formula]}
+    payload = {"op": "formula", "formula": formula, "point": ["0"]}
+    cfg = cli.RunConfig("tori", "-", None, 12, 240, False)
+    status, rep = cli._run_one(cli._COMMANDS["tori"][0], payload, cfg)
+    assert status == 1
+    assert rep["error"] == "schema-error"
+
+
+def test_huge_decimal_exponent_exit_1_quickly(capsys):
+    for value in ("1e4301", "-2.5E-4301", "1e10000000"):
+        payload = json.dumps({"points": [[value, "1"], ["1", "1"], ["1", "1"]]})
+        start = time.perf_counter()
+        status, out = run_cli(capsys, "classify", "--input", payload)
+        assert time.perf_counter() - start < 0.5
+        assert status == 1
+        assert "bad fraction" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("argv", [["check", "--input", LEGENDRE_JSON],
+                                  ["--describe-schema", "check"]], ids=["command", "schema"])
+def test_unwritable_output_exit_1(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+    assert not target.exists()

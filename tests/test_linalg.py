@@ -24,6 +24,23 @@ def _sorted(vals):
     return tuple(sorted(vals, key=sort_key))
 
 
+@pytest.mark.parametrize("n", [1, 4, 12, 60])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_coordinate_constructors_equal_their_entry_built_forms(r, n):
+    value = zeta(n) * rational(Fraction(2, 3)) + rational(Fraction(1, 2))
+    assert value.conductor == n
+
+    def diagonal(x, cols):
+        return tuple(x if i % (cols + 1) == 0 else zero() for i in range(r * cols))
+    for built, rows, cols, ent in [(Matrix.scalar(r, value), r, r, diagonal(value, r)),
+                                   (Matrix.identity(r), r, r, diagonal(one(), r)),
+                                   (Matrix.zeros(r, r + 1), r, r + 1, (zero(),) * (r * r + r))]:
+        want = Matrix(rows, cols, ent)
+        assert built == want and hash(built) == hash(want)
+        assert (built.entries, built.conductor, built.num, built.den) == (
+            want.entries, want.conductor, want.num, want.den)
+
+
 def test_identity_multiplication():
     rng = random.Random(1)
     for _ in range(10):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random_tuple
-from rigidmono import (ComponentSpec, CycNum, GaloisElement, TorsionCoset, TorusFormula,
+from rigidmono import (ComponentSpec, CycNum, TorsionCoset, TorusFormula,
                        deligne_residues, rational, zeta)
 from rigidmono.cyclotomic import euler_phi
 from rigidmono import cli
@@ -75,7 +75,10 @@ def test_eigen_and_residue_roundtrip():
     e = random_member_eigen(rng, 4, (1, 2, 3))
     assert wire.eigen_from_json(wire.eigen_to_json(e)) == e
     rd = deligne_residues(e)
-    assert wire.residues_from_json(wire.residues_to_json(rd)) == rd
+    obj = wire.residues_to_json(rd)
+    assert (obj["r"], obj["s"]) == (rd.rank, rd.punctures)
+    assert all(isinstance(a, str) for pt in obj["points"] for a in pt)
+    assert [tuple(F(a) for a in pt) for pt in obj["points"]] == [tuple(pt) for pt in rd.points]
 
 
 def test_eigen_points_serialized_in_canonical_order():
@@ -84,24 +87,11 @@ def test_eigen_points_serialized_in_canonical_order():
     assert obj["points"][0][0] == {"n": 1, "c": [["-1", "1"]]}
 
 
-def test_galois_and_spec_roundtrip():
-    g = GaloisElement(12, 5)
-    assert wire.galois_from_json(wire.galois_to_json(g)) == g
-    spec = ComponentSpec.of(5, [2, 3, 5])
-    assert wire.spec_from_json(wire.spec_to_json(spec)) == spec
-
-
-@pytest.mark.parametrize("decode, obj", [
-    (wire.galois_from_json, {"n": 5, "k": True}),
-    (wire.galois_from_json, {"n": True, "k": 1}),
-    (wire.residues_from_json, {"r": True, "points": [["0"], ["0"], ["0"]]}),
-    (wire.residues_from_json, {"s": True, "points": [["0", "0"]]}),
-    (wire.spec_from_json, {"s": 3, "triple": [1, 2, True]}),
-])
-def test_booleans_are_not_integers(decode, obj):
+def test_spec_from_json():
+    assert wire.spec_from_json({"s": 5, "triple": [5, 2, 3]}) == ComponentSpec.of(5, [2, 3, 5])
     # JSON true reads as the Python int 1; an integer field must refuse it.
     with pytest.raises(SchemaError):
-        decode(obj)
+        wire.spec_from_json({"s": 3, "triple": [1, 2, True]})
 
 
 def test_coset_roundtrip():
@@ -204,9 +194,10 @@ def test_cyc_with_more_coordinates_than_its_conductor():
 
 
 def test_matrix_conductor_cap_precedes_any_lift(monkeypatch):
-    # A matrix mixing conductors 13 and 19 works at 247, past the cap of 20:
-    # the cap refuses it before any entry is lifted to that conductor (at the
-    # default cap, entries at 239 and 233 would lift to 55687).
+    # Conductors 13 and 19 work together at 247, past the cap of 20: the cap
+    # refuses them before any entry is lifted to that conductor, whether they
+    # meet in one matrix or in two matrices of a tuple (at the default cap,
+    # entries at 239 and 233 would lift to 55687).
     from rigidmono import linalg
     from rigidmono.errors import BudgetExceeded
     lifts = []
@@ -216,4 +207,11 @@ def test_matrix_conductor_cap_precedes_any_lift(monkeypatch):
     g = {"rows": 2, "cols": 2, "entries": [z13, "0", "0", z19]}
     with pytest.raises(BudgetExceeded):
         wire.tuple_from_json({"r": 2, "s": 3, "matrices": [g, g, g]}, 20)
+    with pytest.raises(BudgetExceeded):
+        wire.matrix_from_json(g, 20)
+    g13 = {"rows": 2, "cols": 2, "entries": [z13, "0", "0", z13]}
+    g19 = {"rows": 2, "cols": 2, "entries": [z19, "0", "0", z19]}
+    assert wire.matrix_from_json(g13, 20).conductor == 13
+    with pytest.raises(BudgetExceeded):
+        wire.tuple_from_json({"r": 2, "s": 3, "matrices": [g13, g19, g13]}, 20)
     assert 247 not in lifts
