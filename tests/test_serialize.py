@@ -10,6 +10,7 @@ from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random
 from rigidmono import (ComponentSpec, CycNum, TorsionCoset, TorusFormula,
                        deligne_residues, rational, zeta)
 from rigidmono.cyclotomic import euler_phi
+from rigidmono.galois import galois_orbit_eigen
 from rigidmono import cli
 from rigidmono import serialize as wire
 from rigidmono.errors import SchemaError
@@ -87,11 +88,28 @@ def test_eigen_points_serialized_in_canonical_order():
     assert obj["points"][0][0] == {"n": 1, "c": [["-1", "1"]]}
 
 
-def test_spec_from_json():
-    assert wire.spec_from_json({"s": 5, "triple": [5, 2, 3]}) == ComponentSpec.of(5, [2, 3, 5])
+def test_galois_and_spec_roundtrip():
+    # Every Galois conjugate of eigenvalue data survives the wire unchanged.
+    rng = random.Random(12)
+    orbit = galois_orbit_eigen(random_member_eigen(rng, 4, (1, 2, 3)))
+    assert len(orbit) > 1
+    assert all(wire.eigen_from_json(wire.eigen_to_json(g)) == g for g in orbit)
+    spec = ComponentSpec.of(5, [2, 3, 5])
+    assert wire.spec_from_json({"s": spec.punctures, "triple": sorted(spec.triple)}) == spec
+    assert wire.spec_from_json({"s": 5, "triple": [5, 2, 3]}) == spec
+
+
+@pytest.mark.parametrize("decode, obj", [
+    (wire.cyc_from_json, {"n": True, "c": [["0", "1"]]}),
+    (wire.matrix_from_json, {"rows": True, "cols": 1, "entries": ["1"]}),
+    (wire.geometry_from_json, {"genus": True, "degH": 1}),
+    (wire.coset_from_json, {"N": True, "L": [], "tau": ["0"]}),
+    (wire.spec_from_json, {"s": 3, "triple": [1, 2, True]}),
+])
+def test_booleans_are_not_integers(decode, obj):
     # JSON true reads as the Python int 1; an integer field must refuse it.
     with pytest.raises(SchemaError):
-        wire.spec_from_json({"s": 3, "triple": [1, 2, True]})
+        decode(obj)
 
 
 def test_coset_roundtrip():
