@@ -240,36 +240,41 @@ def _run_one(runner, payload, cfg: RunConfig) -> tuple[int, dict]:
         return 1, {"error": SchemaError.code, "message": "input nested too deeply"}
 
 
-def _write(obj, out: list, indent: str):
-    # json.dumps(obj, indent=2, sort_keys=True) on dict, list, tuple, str, int, bool and None only.
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif obj is None or isinstance(obj, bool):
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+def _write(obj, indent: str = "") -> str:
+    # json.dumps(obj, indent=2, sort_keys=True) on dict, list, tuple, str, int, bool and None
+    # only, subclasses refused: a container's text is one ",\n" + indent join over its items,
+    # string items escaped inline, and framed by one f-string: a chain of + would copy a long
+    # body once per piece.
+    # Integers pass the report's digit guard, wire.int_text.
+    t = type(obj)
+    if t is list or t is tuple or t is dict:
+        if not obj:
+            return "{}" if t is dict else "[]"
         inner = indent + "  "
-        for i, item in enumerate(obj):
-            out.append(",\n" + inner if i else "[\n" + inner)
-            _write(item, out, inner)
-        out.append("\n" + indent + "]" if obj else "[]")
-    elif isinstance(obj, dict):
-        inner = indent + "  "
-        for i, key in enumerate(sorted(obj)):
+        sep = ",\n" + inner
+        if t is dict:
             # _escape raises TypeError on a key that is not a str.
-            out.append((",\n" if i else "{\n") + inner + _escape(key) + ": ")
-            _write(obj[key], out, inner)
-        out.append("\n" + indent + "}" if obj else "{}")
-    else:
-        raise TypeError(f"{type(obj).__name__} is not a report type")
+            body = sep.join([f"{_escape(k)}: {_escape(v) if type(v) is str else _write(v, inner)}"
+                             for k in sorted(obj) for v in (obj[k],)])
+            return f"{{\n{inner}{body}\n{indent}}}"
+        body = sep.join([_escape(v) if type(v) is str else _write(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if t is str:
+        return _escape(obj)
+    if t is int:
+        return wire.int_text(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    raise TypeError(f"{t.__name__} is not a report type")
 
 
-def _emit(report, output: str | None) -> int:
-    # Writes the report; 1, with the OS error on stderr, when it cannot be written.
-    out: list[str] = []
-    _write(report, out, "")
-    text = "".join(out) + "\n"
+def _emit(status: int, report, output: str | None) -> int:
+    # Writes the report and returns the exit status: 3 with an error report when an
+    # integer in it is too long to write, 1 (the OS error on stderr) when it cannot be written.
+    try:
+        text = _write(report) + "\n"
+    except BudgetExceeded as exc:
+        status, text = 3, _write({"error": exc.code, "message": str(exc)}) + "\n"
     try:
         if output:
             with open(output, "w", encoding="utf-8") as fh:
@@ -279,7 +284,7 @@ def _emit(report, output: str | None) -> int:
     except OSError as exc:
         sys.stderr.write(f"rigidmono: error: {exc}\n")
         return 1
-    return 0
+    return status
 
 
 class _Parser(argparse.ArgumentParser):
@@ -318,7 +323,7 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     if args.describe_schema:
-        return _emit(_COMMANDS[args.describe_schema][1], args.output)
+        return _emit(0, _COMMANDS[args.describe_schema][1], args.output)
     if not args.command:
         parser.error("a command is required (or use --describe-schema)")
     if args.order_bound < 1 or args.conductor_cap < 1:
@@ -326,7 +331,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(args.command, args.input, args.output,
                     args.order_bound, args.conductor_cap, args.batch)
     status, report = run(cfg)
-    return _emit(report, cfg.output) or status
+    return _emit(status, report, cfg.output)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,20 @@ reports byte-stable.  Parsers are strict: unknown keys are rejected.  A
 ``conductor_cap`` is enforced before any field arithmetic: first on each
 declared conductor, then on the lcm of one matrix's decoded entries before
 the matrix lifts them, then on the lcm of a tuple's matrices (or of all the
-eigenvalues of eigenvalue data) before they are multiplied.
+eigenvalues of eigenvalue data) before they are multiplied.  A plain rational
+string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``; every other
+spelling goes through ``Fraction``.  Every integer a report writes as text
+passes :func:`int_text`, which refuses one past the interpreter's digit limit
+as a budget.
 """
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
-from .cyclotomic import CycNum, rational, sort_key
+from .cyclotomic import CycNum, _make, sort_key
 from .errors import BudgetExceeded, SchemaError
 from .galois import AbsoluteVerdict
 from .linalg import Matrix, Polynomial
@@ -60,18 +65,50 @@ def _enforce_conductor_cap(values, cap: int | None):
 
 # -- rationals ---------------------------------------------------------------
 
+def int_text(n: int) -> str:
+    """``str(n)``; an integer past the interpreter's digit limit exceeds the report budget."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        raise BudgetExceeded("a report integer has more digits than the integer-to-text limit "
+                             f"of {sys.get_int_max_str_digits()}") from None
+
+
 def rational_to_json(f: Fraction) -> str:
-    return str(f)   # "p/q", or "p" when q == 1
+    # "p/q", or "p" when q == 1
+    q = f.denominator
+    return int_text(f.numerator) if q == 1 else f"{int_text(f.numerator)}/{int_text(q)}"
+
+
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+
+
+def _str_ratio(s: str, what: str) -> tuple[int, int]:
+    # (p, q), q > 0, of a rational string: a plain "p" or "p/q" by int, any other spelling
+    # ('+', spaces, '_', decimals, exponents, non-ASCII digits) by one Fraction, whose
+    # decimal exponent is first held to the digit limit (Fraction expands it in full).
+    m = _PLAIN.fullmatch(s)
+    try:
+        if m is None:
+            _, e, exp = s.lower().rpartition("e")
+            if e and abs(int(exp)) > sys.get_int_max_str_digits():
+                raise ValueError(exp)
+            return Fraction(s).as_integer_ratio()
+        p, q = int(m[1]), int(m[2] or 1)
+        if q:
+            return p, q
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(f"{what}: bad fraction {s!r}")
 
 
 def _ratio_from_json(obj, what: str) -> tuple[int, int]:
-    # (p, q), q != 0, from a Fraction string, an int or a pair of ints or int strings (no bool).
+    # (p, q), q != 0, from a rational string, an int or a pair of ints or int strings (no bool).
+    if isinstance(obj, str):
+        return _str_ratio(obj, what)
+    if type(obj) is int:
+        return obj, 1
     try:
-        if isinstance(obj, str):
-            f = rational_from_json(obj, what)
-            return f.numerator, f.denominator
-        if type(obj) is int:
-            return obj, 1
         if (isinstance(obj, list) and len(obj) == 2 and type(obj[0]) in (int, str)
                 and type(obj[1]) in (int, str)):
             p, q = int(obj[0]), int(obj[1])
@@ -83,29 +120,25 @@ def _ratio_from_json(obj, what: str) -> tuple[int, int]:
 
 
 def rational_from_json(obj, what: str = "rational") -> Fraction:
-    try:  # a string takes one Fraction construction
-        if not isinstance(obj, str):
-            return Fraction(*_ratio_from_json(obj, what))
-        # Fraction expands a decimal exponent in full: refuse one past the integer digit limit.
-        _, e, exp = obj.lower().rpartition("e")
-        if e and abs(int(exp)) > sys.get_int_max_str_digits():
-            raise ValueError(exp)
-        return Fraction(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
+    return Fraction(*_ratio_from_json(obj, what))
 
 
 # -- scalars -----------------------------------------------------------------
 
 def cyc_to_json(z: CycNum) -> dict:
     den = z.den
+    if den == 1:   # an integral value, such as a root of unity: no gcd, one int_text each
+        return {"n": z.conductor, "c": [[int_text(c), "1"] for c in z.num]}
     return {"n": z.conductor,
-            "c": [[str(c // g), str(den // g)] for c in z.num for g in (math.gcd(c, den),)]}
+            "c": [[int_text(c // g), int_text(den // g)]
+                  for c in z.num for g in (math.gcd(c, den),)]}
 
 
 def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
-    if isinstance(obj, (str, int)):
-        return rational(rational_from_json(obj, what))
+    if isinstance(obj, (str, int)):   # a rational, at conductor 1 in lowest terms
+        p, q = _ratio_from_json(obj, what)
+        g = math.gcd(p, q)
+        return _make(1, (p // g,), q // g)
     check_keys(obj, {"n", "c"}, what)
     _require("n" in obj and "c" in obj, f"{what}: needs keys 'n' and 'c'")
     n = obj["n"]
@@ -237,7 +270,7 @@ def coset_to_json(c: TorsionCoset) -> dict:
     den = c.den   # each tau is str(Fraction(x, den)), from one gcd
     out = {"N": c.dim,
            "L": [list(row) for row in c.relations],
-           "tau": [str(x // g) if g == den else f"{x // g}/{den // g}"
+           "tau": [int_text(x // g) if g == den else f"{int_text(x // g)}/{int_text(den // g)}"
                    for x in c.num for g in (math.gcd(x, den),)]}
     if c.empty:
         out["empty"] = True

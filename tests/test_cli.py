@@ -432,6 +432,42 @@ def test_huge_decimal_exponent_exit_1_quickly(capsys):
         assert "bad fraction" in json.loads(out)["message"]
 
 
+def _diag(x, y):
+    return {"rows": 2, "cols": 2, "entries": [x, "0", "0", y]}
+
+
+BIG = "1" + "0" * 4299   # 4,300 digits: decodable, but the traces have twice as many
+BIG_TUPLE = json.dumps({"matrices": [_diag(BIG, "1/" + BIG), _diag("1/" + BIG, BIG),
+                                     _diag("1", "1")]})
+# Scalar factors: the determinant 10^8598 is an integer (written with no gcd).
+BIG_SCALARS = json.dumps({"matrices": [_diag(BIG, BIG), _diag("1/" + BIG, "1/" + BIG),
+                                       _diag("1", "1")]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["mon", "--input", BIG_TUPLE],
+    ["check", "--input", BIG_TUPLE],
+    ["mon", "--input", BIG_SCALARS],
+    # An integer the writer meets, not an encoder: the preimage relation 10^8598.
+    ["tori", "--input", json.dumps({"op": "preimage", "matrix": [[int(BIG)]],
+                                    "coset": {"N": 1, "L": [[int(BIG)]], "tau": ["0"]}})],
+], ids=["mon", "check", "mon-integral", "tori-preimage"])
+def test_report_integer_past_the_digit_limit_exit_3(capsys, argv):
+    status, out = run_cli(capsys, *argv)
+    assert status == 3
+    rep = json.loads(out)
+    assert rep["error"] == "budget-exceeded"
+    assert "4300" in rep["message"] and "digits" in rep["message"]
+
+
+def test_orbit_on_the_long_integer_tuple_still_answers(capsys):
+    # Its eigenvalues are written with all 4,300 digits: the limit itself is no budget.
+    status, out = run_cli(capsys, "orbit", "--input", BIG_TUPLE)
+    assert status == 0
+    assert json.loads(out)["absolute"]["verdict"] == "not-absolute"
+    assert f'"{BIG}"' in out
+
+
 @pytest.mark.parametrize("argv", [["check", "--input", LEGENDRE_JSON],
                                   ["--describe-schema", "check"]], ids=["command", "schema"])
 def test_unwritable_output_exit_1(tmp_path, capsys, argv):

@@ -14,9 +14,7 @@ from rigidmono import cli
 
 
 def dumps(obj) -> str:
-    out = []
-    cli._write(obj, out, "")
-    return "".join(out)
+    return cli._write(obj)
 
 
 texts = st.one_of(st.text(max_size=8),
@@ -46,5 +44,20 @@ def test_writer_on_empty_and_nested_containers():
 @pytest.mark.parametrize("obj", [1.5, [0.0], {"a": [1, {"b": 2.5}]}, {1: "a"}, {"a": {None: 1}},
                                  {(1, 2): 3}, {1, 2}, b"x", object()])
 def test_writer_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("obj", [Text("a"), [Count(1)], {"a": Text("b")}, (Count(2),)])
+def test_writer_refuses_subclasses(obj):
+    # Reports are built from the exact JSON types; anything else is a writer error.
     with pytest.raises(TypeError):
         dumps(obj)
