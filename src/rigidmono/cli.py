@@ -109,7 +109,8 @@ def _run_orbit(payload, cfg: RunConfig) -> dict:
     t = wire.tuple_from_json(payload, cfg.conductor_cap)
     verdict = absolute_point_test(t)
     orbit = sorted(galois_orbit_eigen(t.mon_data.eigen), key=wire.eigen_sort_key)
-    return {"orbit": [wire.eigen_to_json(e) for e in orbit],
+    cyc = functools.cache(wire.cyc_to_json)  # one dict per distinct value, shared where it recurs
+    return {"orbit": [wire.eigen_to_json(e, cyc) for e in orbit],
             "absolute": wire.verdict_to_json(verdict)}
 
 
@@ -240,32 +241,47 @@ def _run_one(runner, payload, cfg: RunConfig) -> tuple[int, dict]:
         return 1, {"error": SchemaError.code, "message": "input nested too deeply"}
 
 
-def _write(obj, indent: str = "") -> str:
+def _write(obj) -> str:
     # json.dumps(obj, indent=2, sort_keys=True) on dict, list, tuple, str, int, bool and None
     # only, subclasses refused: a container's text is one ",\n" + indent join over its items,
     # string items escaped inline, and framed by one f-string: a chain of + would copy a long
-    # body once per piece.
+    # body once per piece.  A dict that occurs more than once (the orbit report shares one per
+    # distinct value) is rendered once per indent: the memo keys on its id, which stays its
+    # own while the report holds it.
     # Integers pass the report's digit guard, wire.int_text.
-    t = type(obj)
-    if t is list or t is tuple or t is dict:
-        if not obj:
-            return "{}" if t is dict else "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
+    memo = {}
+
+    def write(obj, indent: str) -> str:
+        t = type(obj)
+        if t is list or t is tuple:
+            if not obj:
+                return "[]"
+            inner = indent + "  "
+            body = f",\n{inner}".join([_escape(v) if type(v) is str else write(v, inner)
+                                       for v in obj])
+            return f"[\n{inner}{body}\n{indent}]"
         if t is dict:
-            # _escape raises TypeError on a key that is not a str.
-            body = sep.join([f"{_escape(k)}: {_escape(v) if type(v) is str else _write(v, inner)}"
-                             for k in sorted(obj) for v in (obj[k],)])
-            return f"{{\n{inner}{body}\n{indent}}}"
-        body = sep.join([_escape(v) if type(v) is str else _write(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    if t is str:
-        return _escape(obj)
-    if t is int:
-        return wire.int_text(obj)
-    if obj is None or t is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    raise TypeError(f"{t.__name__} is not a report type")
+            if not obj:
+                return "{}"
+            key = (id(obj), indent)
+            text = memo.get(key)
+            if text is None:
+                inner = indent + "  "
+                # _escape raises TypeError on a key that is not a str.
+                body = f",\n{inner}".join([
+                    f"{_escape(k)}: {_escape(v) if type(v) is str else write(v, inner)}"
+                    for k in sorted(obj) for v in (obj[k],)])
+                text = memo[key] = f"{{\n{inner}{body}\n{indent}}}"
+            return text
+        if t is str:
+            return _escape(obj)
+        if t is int:
+            return wire.int_text(obj)
+        if obj is None or t is bool:
+            return "null" if obj is None else "true" if obj else "false"
+        raise TypeError(f"{t.__name__} is not a report type")
+
+    return write(obj, "")
 
 
 def _emit(status: int, report, output: str | None) -> int:

@@ -12,18 +12,24 @@ characteristic polynomial and the inverse.  Eigenvalues come from one exact
 rule: every root (rational) x (root of unity) in a degree-bounded cyclotomic
 extension of the entries' field, plus the roots of a quadratic remainder
 whose discriminant is such a number squared.
+
+Burnside's test first grows the same span over F_p, by a ring map
+Z[zeta_N] -> F_p (``_full_span_mod_p``).  Rank can only drop under it, so a
+full span mod p proves a full span; any other outcome leaves the verdict to
+the exact echelon, whose rows still grow at rank above 2 and conductor above 1.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _dot, _lift, _normalize, _trace_rows, euler_phi, one,
-                         rational, sort_key, unit_exp, unit_log, zero, zeta)
+from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, _trace_rows, euler_phi,
+                         one, rational, sort_key, unit_exp, unit_log, zero, zeta)
 from .errors import NotInvertible, ShapeError
 
 
@@ -266,20 +272,111 @@ def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
     return rank, a.cols - rank
 
 
+def _word_span(ident, gens, mul, add, full: int) -> int:
+    # The dimension of the span of ident and the words in gens, grown by left
+    # multiplication until it is closed or has full dimensions; add(basis, w)
+    # reduces w against the echelon basis and keeps it if it is new.  The
+    # generators are the words of length 1.  One in the span of ident and the
+    # generators before it lies in the algebra they generate, so a span closed
+    # under them is closed under it too: only the kept ones multiply.
+    basis = []
+    add(basis, ident)
+    gens = [g for g in gens if len(basis) < full and add(basis, g)]
+    queue = list(gens)
+    while queue and len(basis) < full:
+        b = queue.pop()
+        for g in gens:
+            if len(basis) < full and add(basis, w := mul(g, b)):
+                queue.append(w)
+    return len(basis)
+
+
 def algebra_dim(gens) -> int:
     """The dimension of the algebra that the r x r matrices ``gens`` generate
     with the identity: the span of the words in them, grown in the echelon by
-    left multiplication until it is closed or has all r^2 dimensions."""
+    left multiplication until it is closed or has all r^2 dimensions.  A
+    scalar generator only rescales a word, so it is left out."""
     r, n = gens[0].rows, math.lcm(*(g.conductor for g in gens))
-    gens = [g._at(n) for g in gens]
-    basis, queue = [], [Matrix.identity(r)._at(n)]
-    _echelon_add(basis, queue[0].num, n)
-    while queue and len(basis) < r * r:
-        b = queue.pop()
-        for g in gens:
-            if len(basis) < r * r and _echelon_add(basis, (w := g @ b).num, n):
-                queue.append(w)
-    return len(basis)
+    return _word_span(Matrix.identity(r)._at(n), [g._at(n) for g in gens if not g.is_scalar()],
+                      Matrix.__matmul__, lambda basis, w: _echelon_add(basis, w.num, n), r * r)
+
+
+# ---------------------------------------------------------------------------
+# Burnside's full span, certified modulo a prime.
+
+def _is_prime(m: int) -> bool:
+    # Miller-Rabin on the primes up to 37, a proof for 37 < m < 3.3 * 10^24.
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime_and_root(n: int) -> tuple[int, int]:
+    """(p, w): p the least prime above 2^30 with p = 1 (mod n), and w the
+    first power g^((p - 1) / n), g = 2, 3, ..., of exact order n mod p.  Then
+    w is a root of Phi_n mod p, so zeta_n -> w is a ring map Z[zeta_n] -> F_p."""
+    p = 2 ** 30 + 1
+    p += (1 - p) % n
+    while not _is_prime(p):
+        p += n
+    for g in itertools.count(2):
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in _prime_divisors(n)):
+            return p, w
+
+
+def _full_span_mod_p(gens) -> bool:
+    """True only if the words in the r x r matrices ``gens`` span all r^2
+    dimensions: a certificate, which False does not refute.
+
+    Each generator's numerator (its integer coordinates, at its conductor m
+    dividing the lcm n) is mapped to F_p by zeta_m -> w^(n / m), with
+    (p, w) = ``_prime_and_root(n)``, and ``_word_span`` runs over F_p.  Rank
+    can only drop under a ring map, so r^2 independent words mod p are r^2
+    independent words over Q(zeta_n).  Scaling a generator by its denominator
+    scales every word that contains it, so the span is the same; a scalar
+    generator only rescales a word and is left out, as in ``algebra_dim``.
+    """
+    r, n = gens[0].rows, math.lcm(*(g.conductor for g in gens))
+    p, w = _prime_and_root(n)
+    rr, images = r * r, []
+    for g in gens:
+        if not g.is_scalar():
+            u = pow(w, n // g.conductor, p)
+            powers = [pow(u, k, p) for k in range(len(g.num[0]))]
+            images.append([sum(map(operator.mul, v, powers)) % p for v in g.num])
+
+    def mul(a, b):
+        cols = [b[j::r] for j in range(r)]
+        return [sum(map(operator.mul, a[i:i + r], col)) % p
+                for i in range(0, rr, r) for col in cols]
+
+    def add(basis, v):  # basis: (pivot, row) pairs sorted by pivot, each row 1 at its pivot
+        for piv, row in basis:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+        for piv, x in enumerate(v):
+            if x:
+                inv = pow(x, -1, p)
+                bisect.insort(basis, (piv, [y * inv % p for y in v]))
+                return True
+        return False
+
+    ident = [int(i % (r + 1) == 0) for i in range(rr)]
+    return _word_span(ident, images, mul, add, rr) == rr
 
 
 def charpoly(a: Matrix) -> Polynomial:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 from .cyclotomic import CycNum, one, rational, sort_key
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
-from .linalg import (Matrix, Polynomial, algebra_dim, charpoly, eigenvalues_split,
-                     rank_and_kernel_dim)
+from .linalg import (Matrix, Polynomial, _full_span_mod_p, algebra_dim, charpoly,
+                     eigenvalues_split, rank_and_kernel_dim)
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,9 @@ class MonodromyTuple:
     """s invertible r x r matrices g_1, ..., g_s with g_1 g_2 ... g_s = I.
 
     Construction validates the shape, the invertibility of every factor, and
-    the product relation, so every instance in hand is a valid tuple.  Its
+    the product relation, so every instance in hand is a valid tuple.  A
+    product equal to I proves every factor invertible, so the determinants
+    are computed only to name a singular factor when it is not.  Its
     ``det_data``, ``is_irreducible`` and ``mon`` are computed once, on first use.
     """
 
@@ -42,13 +44,14 @@ class MonodromyTuple:
         for i, g in enumerate(self.matrices):
             if not (g.is_square() and g.rows == r):
                 raise ShapeError(f"matrix {i + 1} is not {r}x{r}")
-        for i, d in enumerate(self.dets):
-            if not d:
-                raise NotInvertible(f"matrix {i + 1} is singular")
         prod = self.matrices[0]
         for g in self.matrices[1:]:
             prod = prod @ g
         if not prod.is_identity():
+            # A singular factor makes the product singular, so it is found here.
+            for i, d in enumerate(self.dets):
+                if not d:
+                    raise NotInvertible(f"matrix {i + 1} is singular")
             raise RelationViolation("ordered product of the tuple is not the identity")
 
     @classmethod
@@ -159,8 +162,10 @@ def is_irreducible(t: MonodromyTuple) -> bool:
     the g_i span the full r x r matrix algebra.  The inverses need not be
     generators: by Cayley-Hamilton g^r + ... + c_1 g + c_0 = 0 with
     c_0 = +-det g nonzero, so g^-1 is a polynomial in g, and the words in the
-    g_i already span the group algebra of the monodromy group."""
-    return algebra_dim(t.matrices) == t.rank * t.rank
+    g_i already span the group algebra of the monodromy group.  A full span
+    modulo a prime proves it (``linalg._full_span_mod_p``); otherwise the exact
+    span decides."""
+    return _full_span_mod_p(t.matrices) or algebra_dim(t.matrices) == t.rank * t.rank
 
 
 def common_eigenvector_exists(t: MonodromyTuple) -> bool | None:

@@ -188,9 +188,10 @@ def tuple_from_json(obj, conductor_cap: int | None = None) -> MonodromyTuple:
 
 # -- eigenvalue and residue data ---------------------------------------------
 
-def eigen_to_json(e: EigenData) -> dict:
-    return {"r": e.rank, "s": e.punctures,
-            "points": [[cyc_to_json(v) for v in pt] for pt in e.points]}
+def eigen_to_json(e: EigenData, cyc=None) -> dict:
+    """The wire form of ``e``, each value converted by ``cyc`` (default :func:`cyc_to_json`)."""
+    cyc = cyc or cyc_to_json
+    return {"r": e.rank, "s": e.punctures, "points": [[cyc(v) for v in pt] for pt in e.points]}
 
 
 def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
@@ -268,6 +269,9 @@ def chart_to_json(cp: TraceChartPoint) -> dict:
 
 def coset_to_json(c: TorsionCoset) -> dict:
     den = c.den   # each tau is str(Fraction(x, den)), from one gcd
+    for row in c.relations:   # written as integers, but refused here, where the item is known
+        for x in row:
+            int_text(x)
     out = {"N": c.dim,
            "L": [list(row) for row in c.relations],
            "tau": [int_text(x // g) if g == den else f"{int_text(x // g)}/{int_text(den // g)}"

@@ -460,6 +460,19 @@ def test_report_integer_past_the_digit_limit_exit_3(capsys, argv):
     assert "4300" in rep["message"] and "digits" in rep["message"]
 
 
+def test_batch_keeps_the_other_answers_past_a_long_report_integer(capsys):
+    # The preimage's relation row 10^8598 is refused as that item's budget; the
+    # membership after it still answers.
+    batch = [{"op": "preimage", "matrix": [[int(BIG)]],
+              "coset": {"N": 1, "L": [[int(BIG)]], "tau": ["0"]}},
+             {"op": "membership", "coset": {"N": 1, "L": [[1]], "tau": ["0"]}, "point": ["0"]}]
+    status, out = run_cli(capsys, "tori", "--batch", "--input", json.dumps(batch))
+    assert status == 3
+    first, second = json.loads(out)
+    assert not first["ok"] and first["error"] == "budget-exceeded"
+    assert second == {"ok": True, "report": {"member": True}}
+
+
 def test_orbit_on_the_long_integer_tuple_still_answers(capsys):
     # Its eigenvalues are written with all 4,300 digits: the limit itself is no budget.
     status, out = run_cli(capsys, "orbit", "--input", BIG_TUPLE)

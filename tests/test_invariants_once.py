@@ -51,8 +51,7 @@ def test_orbit_runs_mon_and_burnside_once(monkeypatch, capsys):
     assert len(burnside) == 1
 
 
-def test_mon_computes_each_determinant_once(monkeypatch, capsys):
-    factors = list(legendre_tuple().matrices)
+def _count_dets(monkeypatch):
     dets = []
     original = Matrix.det
 
@@ -61,6 +60,30 @@ def test_mon_computes_each_determinant_once(monkeypatch, capsys):
         return original(self)
 
     monkeypatch.setattr(Matrix, "det", counted)
+    return dets
+
+
+def test_check_validates_with_no_determinant(monkeypatch, capsys):
+    # A product equal to I proves every factor invertible; at s = 4 no trace
+    # chart reads the determinants either.
+    t = random_tuple(random.Random(5), 4, scalar_prob=0)
+    dets = _count_dets(monkeypatch)
+    _run(capsys, "check", "--input", json.dumps(wire.tuple_to_json(t)))
+    assert dets == []
+
+
+def test_singular_factor_with_a_broken_relation_exit_2(capsys):
+    # A singular factor makes the product singular, so it is still named.
+    singular = {"rows": 2, "cols": 2, "entries": ["1", "1", "0", "0"]}
+    eye = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+    assert main(["check", "--input", json.dumps({"matrices": [eye, singular, eye]})]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"] == "not-invertible" and "matrix 2" in rep["message"]
+
+
+def test_mon_computes_each_determinant_once(monkeypatch, capsys):
+    factors = list(legendre_tuple().matrices)
+    dets = _count_dets(monkeypatch)
     _run(capsys, "mon", "--input", LEGENDRE_JSON)
     assert dets == factors
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from conftest import legendre_tuple, random_tuple
 from rigidmono import (EigenData, Matrix, MonodromyTuple, Polynomial, centralizer_dim,
                        common_eigenvector_exists, det_data, is_irreducible, katz_report, mon,
                        one, rank2_classify, rational, scalar_points, zero, zeta)
+from rigidmono.cyclotomic import cyclotomic_polynomial
 from rigidmono.errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
+from rigidmono.linalg import _full_span_mod_p, _is_prime, _prime_and_root, algebra_dim
 
 M = Matrix.from_rows
 
@@ -323,3 +326,98 @@ def test_levelt_hypergeometric_triples(r, data):
     assert data.eigen == EigenData.of(factors)
     if r == 2:
         assert common_eigenvector_exists(t) is reducible
+
+
+# A fixed unimodular conjugator per rank, which hides a block-triangular shape.
+_HIDE = {r: Matrix.from_rows([[int(j >= i) for j in range(r)] for i in range(r)])
+         @ Matrix.from_rows([[(-1) ** (i + j) if j <= i else 0 for j in range(r)] for i in range(r)])
+         for r in (2, 3, 4)}
+
+
+@st.composite
+def _certificate_cases(draw, r: int):
+    # (tuple, exact Burnside verdict): random tuples (s - 1 factors closed by the
+    # inverse of their product), block-triangular ones (reducible) conjugated by
+    # _HIDE[r], and Levelt triples, irreducible exactly when no root is shared.
+    # The exact echelon of a rank-4 tuple at conductor 60 takes seconds (ROADMAP
+    # item 1), so random and block tuples at rank 4 stay at conductors 1 to 6.
+    kind = draw(st.sampled_from(["random", "block", "levelt"]))
+    if kind == "levelt":
+        a, b = draw(_levelt_exponents(r))
+        big_a, big_b = _companion(a), _companion(b)
+        t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
+        return t, not any(x == y for x in a for y in b)
+    n = draw(st.integers(1, 6 if r == 4 else 60))
+    split = draw(st.integers(1, r - 1)) if kind == "block" else 0
+
+    def entry():
+        c = draw(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2))))
+        return rational(c) * zeta(n, draw(st.integers(0, n - 1)))
+
+    def factor():
+        m = Matrix(r, r, tuple(zero() if i >= split > j else entry()
+                               for i in range(r) for j in range(r)))
+        assume(m.det())
+        return m
+
+    mats = [factor() for _ in range(draw(st.integers(2, 3)))]
+    prod = mats[0]
+    for g in mats[1:]:
+        prod = prod @ g
+    t = MonodromyTuple.of(mats + [prod.inverse()])
+    if split:
+        return t.conjugated(_HIDE[r]), False
+    return t, algebra_dim(t.matrices) == r * r
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_modular_certificate_is_sound(r, data):
+    # A full span mod p is a proof; anything else leaves the verdict to the exact span.
+    t, exact = data.draw(_certificate_cases(r))
+    assert exact or not _full_span_mod_p(t.matrices)
+    assert is_irreducible(t) == exact
+    if not exact:
+        assert algebra_dim(t.matrices) < r * r
+
+
+def test_certificate_prime_and_root():
+    # p is prime (trial division), p = 1 (mod n), and w is a root of Phi_n of
+    # exact order n mod p: zeta_n -> w is a ring map Z[zeta_n] -> F_p.
+    for n in [*range(1, 61), 120, 210, 240]:
+        p, w = _prime_and_root(n)
+        assert p > 2 ** 30 and (p - 1) % n == 0
+        assert all(p % q for q in range(3, math.isqrt(p) + 1, 2)) and p % 2
+        assert pow(w, n, p) == 1 and all(pow(w, k, p) != 1 for k in range(1, n) if n % k == 0)
+        assert sum(c * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+    # The Miller-Rabin test agrees with trial division on the odd numbers just above 2^30.
+    assert [m for m in range(2 ** 30 + 1, 2 ** 30 + 2000, 2) if _is_prime(m)] == [
+        m for m in range(2 ** 30 + 1, 2 ** 30 + 2000, 2)
+        if all(m % q for q in range(3, math.isqrt(m) + 1, 2))]
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_burnside_falls_back_when_the_prime_divides_everything(n):
+    # Every numerator a multiple of the chosen p: the images vanish, the
+    # certificate fails, and the exact span answers.
+    p = _prime_and_root(n)[0]
+    u = zeta(n)
+    gens = [M([[p, p * u], [0, 2 * p]]), M([[p, 0], [p * u, 3 * p]])]
+    assert not _full_span_mod_p(gens) and algebra_dim(gens) == 4
+    # A tuple whose numerators are all I mod p, irreducible over Q(zeta_n).
+    g1, g2 = M([[1, p * u], [0, 1]]), M([[1, 0], [p, 1]])
+    t = MonodromyTuple.of([g1, g2, (g1 @ g2).inverse()])
+    assert not _full_span_mod_p(t.matrices)
+    assert is_irreducible(t)
+
+
+def test_rank5_burnside_answers_within_a_second():
+    # ROADMAP item 1: the exact span of this Levelt triple took more than 150 s.
+    a = [zeta(24, k) for k in (1, 5, 7, 11, 13)]
+    b = [zeta(24, k) for k in (2, 3, 4, 6, 8)]
+    big_a, big_b = _companion(a), _companion(b)
+    t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
+    start = time.perf_counter()
+    assert is_irreducible(t)
+    assert time.perf_counter() - start < 1

@@ -61,3 +61,31 @@ def test_writer_refuses_subclasses(obj):
     # Reports are built from the exact JSON types; anything else is a writer error.
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+def _shared_trees():
+    # The same dict and list objects twice at one depth, and at two depths: the
+    # writer renders a shared dict once per indent, so each depth must keep its own text.
+    value = {"n": 8, "c": [["1", "1"], ["0", "1"]]}
+    row = [value, "x", 3]
+    nested = {"b": value, "a": [value, {"z": value}]}
+    yield [value, value]
+    yield {"p": [value, value], "q": value}
+    yield [row, row, [row]]
+    yield {"orbit": [{"points": [[value, value], [nested]]}, {"points": [[value], row]}]}
+    yield [nested, [nested, [nested]], nested]
+
+
+@pytest.mark.parametrize("obj", list(_shared_trees()))
+def test_writer_on_shared_objects(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(trees, min_size=1, max_size=3), st.lists(st.integers(0, 2), max_size=6))
+def test_writer_on_shared_subtrees_equals_json_dumps(parts, picks):
+    # Each pick places one of the drawn subtrees, by reference, at a deeper level.
+    obj = list(parts)
+    for k in picks:
+        obj = [obj, parts[k % len(parts)], {"k": parts[k % len(parts)]}]
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
