@@ -4,19 +4,20 @@ A Matrix holds integer power-basis coordinates at one conductor N over one
 denominator, computed when it is built.  Arithmetic runs on them at fixed N;
 a value descends to its minimal conductor only as it leaves (entries, traces,
 determinants and characteristic polynomials).  Two routines rest on this.
-One incremental, division-free row echelon (``_echelon_add``), which divides
-each kept row by its integer content, gives rank and kernel dimension and
-grows Burnside's span of words (``algebra_dim``).  One trace recursion
-(Faddeev-LeVerrier, which divides only by small integers) gives the
-characteristic polynomial and the inverse.  Eigenvalues come from one exact
-rule: every root (rational) x (root of unity) in a degree-bounded cyclotomic
-extension of the entries' field, plus the roots of a quadratic remainder
-whose discriminant is such a number squared.
+One incremental exact row echelon (``_echelon_add``), whose kept rows have
+rational integer pivots and so grow by one row's size per reduction, not by
+a factor, gives rank and kernel dimension and grows Burnside's span of words
+(``algebra_dim``).  One trace recursion (Faddeev-LeVerrier, which divides
+only by small integers) gives the characteristic polynomial and the inverse.
+Eigenvalues come from one exact rule: every root (rational) x (root of
+unity) in a degree-bounded cyclotomic extension of the entries' field, plus
+the roots of a quadratic remainder whose discriminant is such a number
+squared.
 
-Burnside's test first grows the same span over F_p, by a ring map
-Z[zeta_N] -> F_p (``_full_span_mod_p``).  Rank can only drop under it, so a
-full span mod p proves a full span; any other outcome leaves the verdict to
-the exact echelon, whose rows still grow at rank above 2 and conductor above 1.
+Ranks and Burnside's span are first found over F_p, by a ring map
+Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
+only drop under it, so a full rank or a full span mod p is a proof; any other
+outcome leaves the answer to the exact echelon.
 """
 from __future__ import annotations
 
@@ -247,29 +248,56 @@ class Matrix:
 
 def _echelon_add(rows: list, vec, n: int) -> bool:
     """Reduce vec, coordinate tuples at conductor n, against the echelon
-    ``rows``, (pivot, row) pairs sorted by pivot, by cross-multiplying (a
-    nonzero scale never changes a span); keep what is left over its integer
-    content (at n = 1 as small as Bareiss's rows, with no field inverse at
-    n > 1), and return True unless it is 0."""
+    ``rows``, (pivot, row) pairs sorted by pivot; keep what is left, and
+    return True unless it is 0.  Every kept row has a rational integer d at its
+    pivot, so a vector reduces as d v - c row (a nonzero scale never changes a
+    span) and grows by the size of one row per step, not by a factor.  At
+    n > 1 a kept row is scaled by the inverse of its pivot, then cleared of
+    denominators and content; at n = 1 rows are plain integers over their
+    content, as small as Bareiss's rows."""
+    if n == 1:
+        vec = [x for (x,) in vec]
+        for piv, row in rows:
+            c = vec[piv]
+            if c:
+                d = row[piv]
+                vec = [d * x - c * y for x, y in zip(vec, row)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            return False
+        g = math.gcd(*vec)
+        bisect.insort(rows, (piv, [x // g for x in vec]))  # pivots are distinct
+        return True
     for piv, row in rows:
         c = vec[piv]
         if any(c):
-            p, c = row[piv], tuple(-v for v in c)
-            vec = [_dot(n, ((p, x), (c, y))) for x, y in zip(vec, row)]
+            d, c = row[piv][0], tuple(-v for v in c)
+            vec = [[d * v for v in x] if not any(y) else
+                   [d * v + w for v, w in zip(x, _dot(n, ((c, y),)))] for x, y in zip(vec, row)]
     piv = next((i for i, x in enumerate(vec) if any(x)), None)
     if piv is None:
         return False
+    inv = _normalize(n, vec[piv], 1).inverse()
+    s = _lift(inv.num, inv.conductor, n)
+    vec = [_dot(n, ((s, x),)) if any(x) else x for x in vec]
     g = math.gcd(*itertools.chain.from_iterable(vec))
-    bisect.insort(rows, (piv, [tuple(v // g for v in x) for x in vec]))  # pivots are distinct
+    bisect.insort(rows, (piv, [tuple(v // g for v in x) for x in vec]))
     return True
 
 
 def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
-    """(rank, kernel dimension); their sum is the column count.  The rank is
-    the number of rows the echelon keeps."""
-    rows, c = [], a.cols
-    rank = sum(_echelon_add(rows, a.num[i:i + c], a.conductor) for i in range(0, len(a.num), c))
-    return rank, a.cols - rank
+    """(rank, kernel dimension); their sum is the column count.  The rank of
+    the numerators mod p, under ``_prime_and_root``'s zeta_N -> w, comes
+    first: rank can only drop under a ring map, so a full rank mod p is the
+    exact rank.  Any other result runs the exact echelon, whose rank is the
+    number of rows it keeps."""
+    basis, rows, c, n = [], [], a.cols, a.conductor
+    p, w = _prime_and_root(n)
+    img = _images_mod_p(a.num, n, p, w)
+    rank = sum(_add_mod_p(basis, img[i:i + c], p) for i in range(0, len(img), c))
+    if rank < min(a.rows, c):
+        rank = sum(_echelon_add(rows, a.num[i:i + c], n) for i in range(0, len(a.num), c))
+    return rank, c - rank
 
 
 def _word_span(ident, gens, mul, add, full: int) -> int:
@@ -302,7 +330,7 @@ def algebra_dim(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Burnside's full span, certified modulo a prime.
+# Ranks and spans modulo a prime: certificates of full rank.
 
 def _is_prime(m: int) -> bool:
     # Miller-Rabin on the primes up to 37, a proof for 37 < m < 3.3 * 10^24.
@@ -337,6 +365,27 @@ def _prime_and_root(n: int) -> tuple[int, int]:
             return p, w
 
 
+def _images_mod_p(nums, m: int, p: int, u: int) -> list[int]:
+    # The images in F_p of coordinate vectors at conductor m, under zeta_m -> u.
+    powers = [pow(u, k, p) for k in range(euler_phi(m))]
+    return [sum(map(operator.mul, v, powers)) % p for v in nums]
+
+
+def _add_mod_p(basis: list, v, p: int) -> bool:
+    # The F_p row step: reduce v against basis, (pivot, row) pairs sorted by
+    # pivot with each row 1 at its pivot; keep it and return True unless it is 0.
+    for piv, row in basis:
+        c = v[piv]
+        if c:
+            v = [(x - c * y) % p for x, y in zip(v, row)]
+    for piv, x in enumerate(v):
+        if x:
+            inv = pow(x, -1, p)
+            bisect.insort(basis, (piv, [y * inv % p for y in v]))
+            return True
+    return False
+
+
 def _full_span_mod_p(gens) -> bool:
     """True only if the words in the r x r matrices ``gens`` span all r^2
     dimensions: a certificate, which False does not refute.
@@ -351,32 +400,17 @@ def _full_span_mod_p(gens) -> bool:
     """
     r, n = gens[0].rows, math.lcm(*(g.conductor for g in gens))
     p, w = _prime_and_root(n)
-    rr, images = r * r, []
-    for g in gens:
-        if not g.is_scalar():
-            u = pow(w, n // g.conductor, p)
-            powers = [pow(u, k, p) for k in range(len(g.num[0]))]
-            images.append([sum(map(operator.mul, v, powers)) % p for v in g.num])
+    rr = r * r
+    images = [_images_mod_p(g.num, g.conductor, p, pow(w, n // g.conductor, p))
+              for g in gens if not g.is_scalar()]
 
     def mul(a, b):
         cols = [b[j::r] for j in range(r)]
         return [sum(map(operator.mul, a[i:i + r], col)) % p
                 for i in range(0, rr, r) for col in cols]
 
-    def add(basis, v):  # basis: (pivot, row) pairs sorted by pivot, each row 1 at its pivot
-        for piv, row in basis:
-            c = v[piv]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        for piv, x in enumerate(v):
-            if x:
-                inv = pow(x, -1, p)
-                bisect.insort(basis, (piv, [y * inv % p for y in v]))
-                return True
-        return False
-
     ident = [int(i % (r + 1) == 0) for i in range(rr)]
-    return _word_span(ident, images, mul, add, rr) == rr
+    return _word_span(ident, images, mul, lambda basis, v: _add_mod_p(basis, v, p), rr) == rr
 
 
 def charpoly(a: Matrix) -> Polynomial:

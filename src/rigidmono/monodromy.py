@@ -141,20 +141,33 @@ class Rank2Classification:
 
 
 def centralizer_dim(a: Matrix) -> int:
-    """Dimension of {X : XA = AX}, as the kernel of X -> XA - AX on r x r
-    matrices (an r^2 x r^2 exact kernel computation).  The rows are built
-    from A's coordinates, over no denominator: scaling keeps the kernel."""
+    """Dimension of {X : XA = AX}.  A scalar A commutes with all r^2 matrices.
+    Otherwise A is regular exactly when I, A, ..., A^(r-1) are independent,
+    and its centralizer is then Q(zeta)[A], of dimension r: the rank of their
+    coordinates (``rank_and_kernel_dim``, which certifies a full rank mod p)
+    decides it.  Only a derogatory A takes the exact r^2 x r^2 kernel of
+    X -> XA - AX, whose rows are built from A's coordinates over no
+    denominator: scaling keeps the kernel."""
     if not a.is_square():
         raise ShapeError("centralizer of a non-square matrix")
-    r, num = a.rows, a.num
-    zero, rows = (0,) * len(num[0]), []
+    r, n, num = a.rows, a.conductor, a.num
+    if a.is_scalar():
+        return r * r
+    zero, powers = (0,) * len(num[0]), [a]
+    while len(powers) < r - 1:
+        powers.append(powers[-1] @ a)
+    rows = [(1,) + zero[1:] if i % (r + 1) == 0 else zero for i in range(r * r)]
+    rows += itertools.chain.from_iterable(m.num for m in powers)
+    if rank_and_kernel_dim(Matrix.from_coords(r, r * r, n, tuple(rows), 1))[0] == r:
+        return r
+    rows = []
     for i, j in itertools.product(range(r), repeat=2):
         row = [zero] * (r * r)
         for k in range(r):  # d(XA - AX)_ij / dX_ik is a_kj, and / dX_kj is -a_ik
             row[i * r + k] = tuple(x + y for x, y in zip(row[i * r + k], num[k * r + j]))
             row[k * r + j] = tuple(x - y for x, y in zip(row[k * r + j], num[i * r + k]))
         rows += row
-    return rank_and_kernel_dim(Matrix.from_coords(r * r, r * r, a.conductor, tuple(rows), 1))[1]
+    return rank_and_kernel_dim(Matrix.from_coords(r * r, r * r, n, tuple(rows), 1))[1]
 
 
 def is_irreducible(t: MonodromyTuple) -> bool:

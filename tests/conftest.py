@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from rigidmono import (ComponentSpec, EigenData, Matrix, MonodromyTuple, component_membership,
-                       one, rational, zeta)
+                       one, rational, zero, zeta)
 
 LEGENDRE_MATRICES = (
     Matrix.from_rows([[1, -1], [4, -3]]),
@@ -107,3 +107,25 @@ def random_triangular_tuple(rng: random.Random, n: int = 12) -> MonodromyTuple:
     g1, g2 = upper(), upper()
     g3 = (g1 @ g2).inverse()
     return MonodromyTuple.of([g1, g2, g3])
+
+
+def monic(roots) -> list:
+    """Coefficients of prod(x - z) over the roots z, lowest degree first."""
+    c = [one()]
+    for z in roots:
+        c = [-z * c[0]] + [c[k - 1] - z * c[k] for k in range(1, len(c))] + [c[-1]]
+    return c
+
+
+def companion(roots) -> Matrix:
+    """Ones below the diagonal, last column -c_0, ..., -c_(r-1): charpoly prod(x - z)."""
+    r, c = len(roots), monic(roots)
+    return Matrix(r, r, tuple(-c[i] if j == r - 1 else (one() if i == j + 1 else zero())
+                              for i in range(r) for j in range(r)))
+
+
+def levelt_triple(a, b) -> MonodromyTuple:
+    """Levelt's hypergeometric triple (A, A^-1 B, B^-1), A and B the companion
+    matrices of prod(x - a_i) and prod(x - b_j)."""
+    big_a, big_b = companion(a), companion(b)
+    return MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])

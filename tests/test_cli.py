@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import legendre_eigen, legendre_tuple
+from conftest import legendre_eigen, legendre_tuple, levelt_triple
 from rigidmono import Matrix, rational, sort_key, zeta
 from rigidmono import serialize as wire
 from rigidmono import cli
@@ -215,6 +215,25 @@ def test_semiprime_norm_exit_0_quickly(capsys):
     assert time.perf_counter() - start < 2
     assert status == 0
     assert json.loads(out)["eigen"] is None
+
+
+@pytest.mark.parametrize("n, ks, ls, verdict", [
+    (24, (1, 5, 7, 11, 13), (2, 3, 4, 6, 8), "rigid"),
+    (60, (1, 7, 11, 13, 17), (2, 3, 4, 6, 10), "rigid"),
+    (24, (1, 5, 7, 11, 13), (1, 3, 4, 6, 8), "not-applicable(reducible)"),
+], ids=["24", "60", "24-reducible"])
+def test_rank5_levelt_check_answers_quickly(capsys, n, ks, ls, verdict):
+    # A rank-5 Levelt triple (A, A^-1 B, B^-1), about 3.5 KB of JSON at n = 24:
+    # the exact centralizer of B^-1 alone took 7 s at n = 24 and 39 s at n = 60,
+    # and the exact Burnside span of the reducible one more than 50 s.
+    t = levelt_triple([zeta(n, k) for k in ks], [zeta(n, k) for k in ls])
+    payload = json.dumps(wire.tuple_to_json(t))
+    start = time.perf_counter()
+    status, out = run_cli(capsys, "check", "--input", payload)
+    assert time.perf_counter() - start < 2
+    assert status == 0
+    katz = json.loads(out)["katz"]
+    assert katz["centralizer_dims"] == [5, 17, 5] and katz["verdict"] == verdict
 
 
 def test_rank3_eigenvalues_outside_the_entry_field(capsys):

@@ -108,6 +108,35 @@ def test_rank_plus_kernel_is_cols():
         assert r + k == cols
 
 
+@pytest.mark.parametrize("n", [1, 12])
+def test_rank_survives_an_image_mod_p_that_loses_it(n):
+    # With p the prime of the mod-p rank, diag(1 + p zeta_n, 1) is I mod p:
+    # the rows of its coordinates and of I's agree there, and a matrix of
+    # determinant p zeta_n has rank 1 there.  The exact echelon keeps rank 2.
+    p = linalg._prime_and_root(n)[0]
+    a = M([[1 + p * zeta(n), 0], [0, 1]])
+    powers = M([list(Matrix.identity(2).entries), list(a.entries)])
+    with mock.patch.object(linalg, "_echelon_add", wraps=linalg._echelon_add) as exact:
+        assert rank_and_kernel_dim(powers) == (2, 2)
+        assert exact.called
+        exact.reset_mock()
+        assert rank_and_kernel_dim(M([[1 + p * zeta(n), 1], [1, 1]])) == (2, 0)
+        assert exact.called
+        assert centralizer_dim(a) == 2
+
+
+def test_centralizer_falls_back_to_the_exact_rank():
+    # diag(1 + p, 1, 2) is regular, but diag(1, 1, 2) mod p is not: I, A, A^2
+    # have rank 2 mod p, and the exact echelon finds 3.  A regular factor whose
+    # image stays regular never reaches the exact echelon.
+    p = linalg._prime_and_root(1)[0]
+    with mock.patch.object(linalg, "_echelon_add", wraps=linalg._echelon_add) as exact:
+        assert centralizer_dim(M([[1, 0, 0], [0, 2, 0], [0, 0, 3]])) == 3
+        assert not exact.called
+        assert centralizer_dim(M([[1 + p, 0, 0], [0, 1, 0], [0, 0, 2]])) == 3
+        assert exact.called
+
+
 def test_charpoly_examples():
     assert charpoly(M([[1, 1], [0, 1]])) == Polynomial.of([1, -2, 1])
     alpha, beta = zeta(3), rational(2)

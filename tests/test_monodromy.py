@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import legendre_tuple, random_tuple
+from conftest import legendre_tuple, levelt_triple, monic, random_tuple
 from rigidmono import (EigenData, Matrix, MonodromyTuple, Polynomial, centralizer_dim,
                        common_eigenvector_exists, det_data, is_irreducible, katz_report, mon,
-                       one, rank2_classify, rational, scalar_points, zero, zeta)
+                       one, rank2_classify, rank_and_kernel_dim, rational, scalar_points, zero,
+                       zeta)
 from rigidmono.cyclotomic import cyclotomic_polynomial
 from rigidmono.errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 from rigidmono.linalg import _full_span_mod_p, _is_prime, _prime_and_root, algebra_dim
@@ -274,21 +275,6 @@ def test_defect_zero_iff_three_nonscalar():
     assert seen_irreducible > 50
 
 
-def _monic(roots) -> list:
-    # Coefficients of prod(x - z) over the roots z, lowest degree first.
-    c = [one()]
-    for z in roots:
-        c = [-z * c[0]] + [c[k - 1] - z * c[k] for k in range(1, len(c))] + [c[-1]]
-    return c
-
-
-def _companion(roots) -> Matrix:
-    # Ones below the diagonal, last column -c_0, ..., -c_(r-1): charpoly prod(x - z).
-    r, c = len(roots), _monic(roots)
-    return Matrix(r, r, tuple(-c[i] if j == r - 1 else (one() if i == j + 1 else zero())
-                              for i in range(r) for j in range(r)))
-
-
 @st.composite
 def _levelt_exponents(draw, r: int):
     # a_i = zeta_n^(k_i) and b_j = zeta_n^(l_j) at one conductor n <= 60; half the
@@ -303,7 +289,7 @@ def _levelt_exponents(draw, r: int):
     return [zeta(n, k) for k in ks], [zeta(n, k) for k in ls]
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_levelt_hypergeometric_triples(r, data):
@@ -313,8 +299,7 @@ def test_levelt_hypergeometric_triples(r, data):
     # dimensions r, (r - 1)^2 + 1, r, summing to the rigidity threshold r^2 + 2;
     # the tuple is irreducible exactly when no a_i equals a b_j (Beukers-Heckman).
     a, b = data.draw(_levelt_exponents(r))
-    big_a, big_b = _companion(a), _companion(b)
-    t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
+    t = levelt_triple(a, b)
     reducible = any(x == y for x in a for y in b)
     rep = katz_report(t)
     assert rep.centralizer_dims == (r, (r - 1) ** 2 + 1, r)
@@ -322,7 +307,7 @@ def test_levelt_hypergeometric_triples(r, data):
     lam = math.prod(b, start=one()) * math.prod(a, start=one()).inverse()
     factors = [a, [one()] * (r - 1) + [lam], [y.inverse() for y in b]]
     data = mon(t)  # charpoly and eigenvalues_split of each factor
-    assert data.charpolys == tuple(Polynomial.of(_monic(roots)) for roots in factors)
+    assert data.charpolys == tuple(Polynomial.of(monic(roots)) for roots in factors)
     assert data.eigen == EigenData.of(factors)
     if r == 2:
         assert common_eigenvector_exists(t) is reducible
@@ -335,6 +320,67 @@ _HIDE = {r: Matrix.from_rows([[int(j >= i) for j in range(r)] for i in range(r)]
 
 
 @st.composite
+def _centralizer_cases(draw, r: int):
+    # An r x r matrix over Q(zeta_n), n <= 60, conjugated by _HIDE[r]: random,
+    # scalar, diagonal with a repeated eigenvalue, Jordan blocks (equal
+    # neighbours on the diagonal may be joined by a 1 above it), or a
+    # pseudo-reflection I + u v^T.
+    kind = draw(st.sampled_from(["random", "scalar", "diagonal", "jordan", "reflection"]))
+    n = draw(st.integers(1, 60))
+
+    def entry(values=(0, 0, 1, -1, 2, Fraction(1, 2))):
+        return rational(draw(st.sampled_from(values))) * zeta(n, draw(st.integers(0, n - 1)))
+
+    def diagonal(values):
+        return [x if i == j else zero() for i, x in enumerate(values) for j in range(r)]
+    pool = [entry((1, -1, 2, 3, Fraction(1, 2))) for _ in range(2)]
+    if kind == "random":
+        ent = [entry() for _ in range(r * r)]
+    elif kind == "scalar":
+        ent = diagonal(pool[:1] * r)
+    elif kind == "diagonal":
+        ent = diagonal(pool[:1] * 2 + [draw(st.sampled_from(pool)) for _ in range(r - 2)])
+    elif kind == "jordan":
+        lam = [draw(st.sampled_from(pool)) for _ in range(r)]
+        ent = diagonal(lam)
+        for i in range(r - 1):
+            if lam[i] == lam[i + 1] and draw(st.booleans()):
+                ent[i * r + i + 1] = one()
+    else:
+        u, v = [entry() for _ in range(r)], [entry() for _ in range(r)]
+        ent = [(one() if i == j else zero()) + u[i] * v[j] for i in range(r) for j in range(r)]
+    a = Matrix(r, r, tuple(ent))
+    assume(kind != "reflection" or a.det())
+    return kind, _HIDE[r] @ a @ _HIDE[r].inverse()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_centralizer_dim_matches_the_exact_kernel(r, data):
+    # The oracle is the kernel of X -> XA - AX, built here from the entries.
+    # It always contains I and A, so it is never of full rank, and its rank
+    # always comes from the exact echelon.  (Rank 5 is left out: a 25 x 25
+    # exact kernel at conductor 41 takes about a second.)
+    kind, a = data.draw(_centralizer_cases(r))
+    e, rows = a.entries, []
+    for i in range(r):
+        for j in range(r):
+            row = [zero()] * (r * r)
+            for k in range(r):
+                row[i * r + k] += e[k * r + j]
+                row[k * r + j] -= e[i * r + k]
+            rows += row
+    dim = centralizer_dim(a)
+    assert dim == rank_and_kernel_dim(Matrix(r * r, r * r, tuple(rows)))[1]
+    assert dim == r * r if kind == "scalar" else dim >= r
+    if kind == "diagonal":
+        assert dim > r  # a repeated eigenvalue on a diagonal is derogatory
+    if kind == "reflection":
+        assert dim >= (r - 1) ** 2 + 1  # the eigenvalue 1 has r - 1 dimensions
+
+
+@st.composite
 def _certificate_cases(draw, r: int):
     # (tuple, exact Burnside verdict): random tuples (s - 1 factors closed by the
     # inverse of their product), block-triangular ones (reducible) conjugated by
@@ -344,9 +390,7 @@ def _certificate_cases(draw, r: int):
     kind = draw(st.sampled_from(["random", "block", "levelt"]))
     if kind == "levelt":
         a, b = draw(_levelt_exponents(r))
-        big_a, big_b = _companion(a), _companion(b)
-        t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
-        return t, not any(x == y for x in a for y in b)
+        return levelt_triple(a, b), not any(x == y for x in a for y in b)
     n = draw(st.integers(1, 6 if r == 4 else 60))
     split = draw(st.integers(1, r - 1)) if kind == "block" else 0
 
@@ -416,8 +460,7 @@ def test_rank5_burnside_answers_within_a_second():
     # ROADMAP item 1: the exact span of this Levelt triple took more than 150 s.
     a = [zeta(24, k) for k in (1, 5, 7, 11, 13)]
     b = [zeta(24, k) for k in (2, 3, 4, 6, 8)]
-    big_a, big_b = _companion(a), _companion(b)
-    t = MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
+    t = levelt_triple(a, b)
     start = time.perf_counter()
     assert is_irreducible(t)
     assert time.perf_counter() - start < 1

@@ -1,15 +1,17 @@
-"""Replay monodromy tuples through the Burnside simplicity test and hash the verdicts.
+"""Replay monodromy tuples through the Burnside test and the centralizer count, and hash both.
 
 The tuples are the distinct tuple payloads (``check``, ``mon`` and ``orbit``
 requests) of the ``pipeline-cyclo`` and ``tuples-rational`` corpora at each
 given seed, plus seeded Levelt triples: with A and B the companion matrices of
 prod(x - a_i) and prod(x - b_j), a_i and b_j roots of unity at one conductor
 n <= 60, the triple (A, A^-1 B, B^-1), at ranks 2 to 4, with a shared root in
-half of them.  ``monodromy.is_irreducible`` runs on each.  One SHA-256 over
-the (tuple, verdict) pairs is printed, so two checkouts print equal hashes
-exactly when they give every tuple the same verdict.  Where the checkout has
-the modular certificate (``linalg._full_span_mod_p``), the counts of tuples it
-certified and of those left to the exact span are printed too.
+half of them.  ``monodromy.is_irreducible`` runs on each (as the tuple's
+cached ``irreducible``), and one SHA-256 over the (tuple, verdict) pairs is
+printed, so two checkouts print equal hashes exactly when they give every
+tuple the same verdict.  A second SHA-256 covers the (tuple, centralizer
+dimensions) pairs of ``katz_report``, timed apart.  Where the checkout has
+the modular certificate (``linalg._full_span_mod_p``), the counts of tuples
+it certified and of those left to the exact span are printed too.
 
     python tools/burnside_parity.py --seeds 1 2
     python tools/burnside_parity.py --root ../other-checkout --seeds 1 2
@@ -36,7 +38,7 @@ def main() -> int:
     args = p.parse_args()
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import corpus
-    from rigidmono import Matrix, MonodromyTuple, is_irreducible, one, zero, zeta
+    from rigidmono import Matrix, MonodromyTuple, katz_report, one, zero, zeta
     from rigidmono import linalg
     from rigidmono import serialize as wire
     certificate = getattr(linalg, "_full_span_mod_p", None)
@@ -75,23 +77,29 @@ def main() -> int:
                                       for rng in (random.Random(f"levelt:{r}:{seed}"),)
                                       for _ in range(count)]
 
-    digest = hashlib.sha256()
+    digest, dims_digest = hashlib.sha256(), hashlib.sha256()
     for name, tuples in groups.items():
         irreducible, t0 = 0, time.perf_counter()
         for t in tuples:
-            verdict = is_irreducible(t)
+            verdict = t.irreducible  # is_irreducible, cached for katz_report below
             irreducible += verdict
             digest.update(json.dumps([wire.tuple_to_json(t), verdict],
                                      separators=(",", ":")).encode() + b"\n")
-        elapsed = time.perf_counter() - t0
+        elapsed, t0 = time.perf_counter() - t0, time.perf_counter()
+        for t in tuples:  # the verdict is cached, so this times the centralizers
+            dims = list(katz_report(t).centralizer_dims)
+            dims_digest.update(json.dumps([wire.tuple_to_json(t), dims],
+                                          separators=(",", ":")).encode() + b"\n")
+        dims_s = time.perf_counter() - t0
         if certificate is not None:
             certified = sum(certificate(t.matrices) for t in tuples)
             counts = f"  {certified} certified  {len(tuples) - certified} fallbacks"
         else:
             counts = "  (no modular certificate)"
         print(f"{name:16s} {len(tuples):4d} tuples  {irreducible} irreducible{counts}  "
-              f"{elapsed:.3f} s")
-    print(f"seeds {' '.join(map(str, args.seeds))}  sha256 {digest.hexdigest()}")
+              f"{elapsed:.3f} s  centralizers {dims_s:.3f} s")
+    print(f"seeds {' '.join(map(str, args.seeds))}  sha256 {digest.hexdigest()}  "
+          f"centralizer sha256 {dims_digest.hexdigest()}")
     return 0
 
 
