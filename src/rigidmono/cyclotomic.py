@@ -531,37 +531,6 @@ def unit_exp(a: Fraction) -> CycNum:
     return zeta(a.denominator, a.numerator)
 
 
-@lru_cache(maxsize=None)
-def _trace_weights(n: int) -> tuple[int, ...]:
-    # Tr(zeta_n^e) from Q(zeta_n) to Q, for e in 0..n-1: zeta_n^e is a
-    # primitive m-th root with m = n / gcd(e, n), whose trace over Q(zeta_m) is
-    # the Moebius value mu(m): 0 unless m is squarefree, else (-1)^(#primes).
-    phi = euler_phi(n)
-    out = []
-    for e in range(n):
-        m = n // math.gcd(e, n)
-        primes = _prime_divisors(m)
-        mu = (-1) ** len(primes) if math.prod(primes) == m else 0
-        out.append(mu * (phi // euler_phi(m)))
-    return tuple(out)
-
-
-def _trace_rows(zs, n: int) -> list[list[int]]:
-    """Row i holds the integers D Tr(zs[i] zeta_n^j), j = 0..n-1, D the lcm of
-    the zs' denominators and Tr the trace from Q(zeta_n) to Q; n % conductor == 0."""
-    weights, den, rows = _trace_weights(n), math.lcm(*(z.den for z in zs)), []
-    for z in zs:
-        if n % z.conductor != 0:
-            raise FieldMismatch(f"element at conductor {z.conductor} is outside Q(zeta_{n})")
-        row, step, s = [0] * n, n // z.conductor, den // z.den
-        for i, c in enumerate(z.num):
-            if c:  # c zeta_n^e adds c Tr(zeta_n^(e + j)) to entry j, times D / den
-                e, c = i * step, c * s
-                row = [r + c * w for r, w in zip(row, weights[e:] + weights[:e])]
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class GaloisElement:
     """The automorphism zeta_n -> zeta_n^k of Q(zeta_n), with gcd(k, n) = 1."""

@@ -12,7 +12,8 @@ only by small integers) gives the characteristic polynomial and the inverse.
 Eigenvalues come from one exact rule: every root (rational) x (root of
 unity) in a degree-bounded cyclotomic extension of the entries' field, plus
 the roots of a quadratic remainder whose discriminant is such a number
-squared.
+squared.  One search finds those roots modulo a small prime, lifted to a
+power of it (``_unit_roots``); only p's exact value accepts one.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, _trace_rows, euler_phi,
-                         one, rational, sort_key, unit_exp, unit_log, zero, zeta)
-from .errors import NotInvertible, ShapeError
+from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, euler_phi, one, rational,
+                         sort_key, zero, zeta)
+from .errors import FieldMismatch, NotInvertible, ShapeError
 
 
 @dataclass(frozen=True)
@@ -330,14 +331,18 @@ def algebra_dim(gens) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ranks and spans modulo a prime: certificates of full rank.
+# Primes, and ranks and spans modulo a prime: certificates of full rank.
 
 def _is_prime(m: int) -> bool:
-    # Miller-Rabin on the primes up to 37, a proof for 37 < m < 3.3 * 10^24.
+    # Miller-Rabin on the primes up to 37 prime to m, a proof for m < 3.3 * 10^24.
+    if m < 2:
+        return False
     d, s = m - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if a % m == 0:
+            continue
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue
@@ -351,11 +356,12 @@ def _is_prime(m: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _prime_and_root(n: int) -> tuple[int, int]:
-    """(p, w): p the least prime above 2^30 with p = 1 (mod n), and w the
+def _prime_and_root(n: int, least: int = 2 ** 30) -> tuple[int, int]:
+    """(p, w): p the least prime above ``least`` with p = 1 (mod n), and w the
     first power g^((p - 1) / n), g = 2, 3, ..., of exact order n mod p.  Then
-    w is a root of Phi_n mod p, so zeta_n -> w is a ring map Z[zeta_n] -> F_p."""
-    p = 2 ** 30 + 1
+    w is a root of Phi_n mod p, so zeta_n -> w is a ring map Z[zeta_n] -> F_p.
+    The certificates take p above 2^30; the root search, the least such p."""
+    p = least + 1
     p += (1 - p) % n
     while not _is_prime(p):
         p += n
@@ -462,126 +468,159 @@ def _extension_conductor(n: int, r: int) -> int:
     return out
 
 
-def _rational_sqrt(f: Fraction) -> Fraction | None:
-    """The exact square root of f >= 0, or None if f is not a rational square."""
-    if f < 0:
+def _horner(f: list[int], x: int, m: int) -> int:
+    # f(x) mod m, for integer coefficients f, lowest degree first.
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _hensel(f: list[int], x: int, q: int, m: int) -> int:
+    # The root of f mod m = q^(2^s) that is x mod q, where f'(x) is a unit:
+    # Newton's step x - f(x) / f'(x) mod r^2, from x right mod r, needs
+    # 1 / f'(x) only mod r, and doubles the q-adic digits that are right.
+    df, r = [i * c for i, c in enumerate(f)][1:], q
+    while r < m:
+        y, r = pow(_horner(df, x, r), -1, r), r * r
+        x = (x - _horner(f, x, r) * y) % r
+    return x
+
+
+def _mulmod_q(a: list[int], b: list[int], f: list[int], q: int) -> list[int]:
+    # a b mod (f, q) for a monic f; polynomials lowest degree first, without trailing zeros.
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while len(out) >= len(f):
+        c = out.pop()
+        for i, y in enumerate(f[:-1], len(out) - len(f) + 1):
+            out[i] -= c * y
+    out = [c % q for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_q(f: list[int], a: list[int], q: int) -> list[int]:
+    # The monic gcd over F_q of the monic f and a.
+    while a := _mulmod_q(a, [1], f, q):
+        inv = pow(a[-1], -1, q)
+        f, a = [c * inv % q for c in a], f
+    return f
+
+
+def _pow_q(a: int, k: int, f: list[int], q: int) -> list[int]:
+    # (x + a)^k mod (f, q), by squaring.
+    out = [1]
+    for bit in bin(k)[2:]:
+        out = _mulmod_q(out, _mulmod_q(out, [a, 1], f, q) if bit == "1" else out, f, q)
+    return out
+
+
+@lru_cache(maxsize=1 << 12)
+def _simple_roots(g: tuple[int, ...], q: int) -> tuple[int, ...] | None:
+    # The roots of the monic g mod q (odd), None if one is not simple, by
+    # powers mod g, so O(log q) products each, where trial takes q steps.
+    # Their x - r multiply to h = gcd(g, x^q - x), and a factor f of h splits
+    # into its gcds with x + a and (x + a)^((q - 1) / 2) -+ 1 for the first
+    # a = 0, 1, ... that parts two of its roots.
+    xq = _pow_q(0, q, list(g), q) + [0, 0]
+    xq[1] -= 1
+    h = _gcd_q(list(g), xq, q)
+    if len(_gcd_q(h, [i * c for i, c in enumerate(g)][1:], q)) > 1:
         return None
-    num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if num * num != f.numerator or den * den != f.denominator:
-        return None
-    return Fraction(num, den)
-
-
-def _rem(f: list[int], g: list[int]) -> list[int]:
-    # A positive multiple of f mod g, over its content (no trailing zeros).
-    a, sign, r = abs(g[-1]), 1 if g[-1] > 0 else -1, f
-    while len(r) >= len(g):
-        c, r = sign * r[-1], [a * x for x in r[:-1]]
-        for i, y in enumerate(g[:-1], len(r) - len(g) + 1):
-            r[i] -= c * y
-        while r and not r[-1]:
-            r.pop()
-    c = math.gcd(*r)
-    return [x // c for x in r] if c > 1 else r
-
-
-def _int_gcd(f: list[int], g: list[int]) -> list[int]:
-    # A gcd over Q, with positive lead, of f != 0 and g (g may end in zeros).
-    while g and not g[-1]:
-        g.pop()
-    while g:
-        f, g = g, _rem(f, g)
-    return f if f[-1] > 0 else [-x for x in f]
-
-
-def _rational_roots(f) -> list[Fraction]:
-    """The distinct rational roots, largest first, of the polynomial f with
-    rational coefficients (lowest degree first, degree at least 1).  Made
-    integral with lead l > 0, f has its rational roots among the k / l; Sturm
-    counts at the (2k + 1) / (2 l), never roots, bisect the range of k."""
-    m = math.lcm(*(c.denominator for c in f)) * (1 if f[-1] > 0 else -1)
-    g = [int(c * m) for c in f]
-    seq, lead = [g, [i * c for i, c in enumerate(g)][1:]], g[-1]
-    while len(seq[-1]) > 1 and (r := _rem(seq[-2], seq[-1])):
-        seq.append([-x for x in r])
-
-    def value(h: list[int], num: int, den: int) -> int:  # den^deg(h) h(num / den)
-        return sum(c * num ** i * den ** (len(h) - 1 - i) for i, c in enumerate(h))
-
-    def changes(k: int) -> int:
-        signs = [v > 0 for v in (value(h, 2 * k + 1, 2 * lead) for h in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-    top = lead + max(map(abs, g))  # Cauchy: |root| < 1 + max |g_i| / lead
-    roots, ranges = [], [(-top - 1, top)]  # the candidates k / lead with lo < k <= hi
-    while ranges:
-        lo, hi = ranges.pop()
-        if changes(lo) == changes(hi):
-            continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            ranges += [(lo, mid), (mid, hi)]
-        elif not value(g, hi, lead):
-            roots.append(Fraction(hi, lead))
-    return roots
-
-
-def _unit_root(p: Polynomial, big_n: int) -> CycNum | None:
-    """A root c u of p with c rational and u^big_n = 1, or None if there is none.
-
-    For u = zeta_L^j, L = big_n, c u is a root exactly when c is a root of
-    the monic q_u(y) = p(u y) / (lead u^d) = sum_i a_i u^(i - d) y^i.  Its
-    coefficients lie in a Q(zeta_m), m | L, whose trace form is non-degenerate,
-    so that holds exactly when every P_k(c) = D Tr(q_u(c) zeta_L^k) is 0,
-    k = (L / m) k' for k' < phi(m); P_k has the integer coefficients
-    D Tr(a_i zeta_L^(j (i - d) + k)).  The candidates are the rational roots of
-    P_0 (in degree 3 and above, of its gcd with the next P_k, down to degree 2),
-    each checked on every P_k.  u and -u give the same roots, and L is even.
-    """
-    if not p.coeffs[0]:
-        return zero()
-    d, lead = p.degree(), p.coeffs[-1]
-    monic = p.coeffs if lead == one() else [c / lead for c in p.coeffs]
-    rows, n = _trace_rows(monic, big_n), math.lcm(*(c.conductor for c in monic))
-    for j in range(big_n // 2):
-        shifts = [j * (i - d) for i in range(d + 1)]
-
-        def poly(k: int) -> list[int]:  # P_k, lowest degree first
-            return [row[(s + k) % big_n] for row, s in zip(rows, shifts)]
-        g, m = poly(0), math.lcm(n, big_n // math.gcd(j, big_n))
-        ks = range(0, big_n, big_n // m)[:euler_phi(m)]
-        for k in ks[1:] if len(g) > 3 else ():
-            if len(g := _int_gcd(g, poly(k))) <= 3:
+    roots, parts = [], [h]
+    for f in parts:
+        if len(f) == 2:
+            roots.append(-f[0] % q)
+        for a in itertools.count() if len(f) > 2 else ():
+            t = _pow_q(a, q // 2, f, q) + [0]
+            split = [_gcd_q(f, [a, 1], q)] + [_gcd_q(f, [t[0] + e] + t[1:], q) for e in (-1, 1)]
+            if max(map(len, split)) < len(f):
+                parts += split
                 break
-        if len(g) == 3:  # the quadratic formula in integers (g[2] > 0)
-            c, b, a = g
-            s = math.isqrt(max(disc := b * b - 4 * a * c, 0))
-            cands = [(s - b, 2 * a), (-s - b, 2 * a)] if s * s == disc else []
-        else:  # Sturm, or a constant
-            cands = [(r.numerator, r.denominator) for r in _rational_roots(g)] if len(g) > 1 else []
-        for a, b in cands:
-            powers = [a ** i * b ** (d - i) for i in range(d + 1)]
-            if not any(sum(c * x for c, x in zip(poly(k), powers)) for k in ks):
-                root = rational(Fraction(a, b)) * zeta(big_n, j)
-                if not p(root):
-                    return root
-    return None
+    return tuple(roots)
 
 
-def _unit_sqrt(disc: CycNum, big_n: int) -> CycNum | None:
-    """A square root of disc of the form c u with c rational and u^big_n = 1.
+@lru_cache(maxsize=64)
+def _unit_lift(big_n: int, q: int, w: int, m: int) -> tuple[int, int]:
+    # W and 1 / W mod m = q^(2^s), where W = w mod q and W^big_n = 1, by Newton's
+    # step u (1 - (u^big_n - 1) / big_n).  As w has order big_n mod q,
+    # zeta_big_n -> W is a ring map Z[zeta_big_n] -> Z / m.
+    u, r = w, q
+    while r < m:
+        r *= r
+        u = u * (1 - (pow(u, big_n, r) - 1) * pow(big_n, -1, r)) % r
+    return u, pow(u, big_n - 1, m)
 
-    disc = c^2 u^2 has content c^2, because a root of unity has coprime
-    integer coordinates; so disc over its content must be a root of unity and
-    the content a rational square.
+
+def _divmod(f, g) -> tuple[list, list]:
+    # Quotient and remainder (zeros kept) of CycNum coefficient lists f, g != 0.
+    f, quot, inv = list(f), [], g[-1].inverse()
+    while len(f) >= len(g):
+        quot.append(c := f.pop() * inv)
+        for i, y in enumerate(g[:-1], len(f) - len(g) + 1):
+            f[i] = f[i] - c * y
+    return quot[::-1], f
+
+
+def _monic(p: Polynomial) -> Polynomial:
+    if p.coeffs[-1] == one():
+        return p
+    inv = p.coeffs[-1].inverse()
+    return Polynomial(tuple(c * inv for c in p.coeffs))
+
+
+def _unit_roots(p: Polynomial, big_n: int):
+    """Yield each root c u of p once, with c rational and u^big_n = 1 (big_n even).
+
+    With p monic and D the lcm of its denominators, g(y) = D^d p(y / D) is
+    integral and has the roots k u, k = D c an integer with |k| <= K
+    (Cauchy).  Modulo q, the least prime = 1 (mod big_n) (``_prime_and_root``),
+    zeta_big_n -> w makes g a polynomial over F_q.  If its roots there are
+    simple (``_simple_roots``), each is lifted by Newton's step to q^e > 2^20
+    (2K + 1), and w likewise to W.  A root k zeta^j lifts to k W^j, so k is the
+    symmetric residue of the lift times W^-j for one j < big_n / 2 (u and -u
+    give the same roots), and the candidate (k / D) zeta^j is accepted only if
+    p vanishes there exactly.  A root that is not simple mod q makes p its
+    squarefree part p / gcd(p, p') once, and then q the least such prime
+    above 2q.  A squarefree p fails only at primes that divide the norm of its
+    discriminant; a product of k primes that each double the last exceeds
+    2^(k(k - 1) / 2), so at most about sqrt(2 log2 |norm|) of them fail, and
+    q stays near 2^k times the first.
     """
-    if not disc:
-        return zero()
-    content = Fraction(math.gcd(*disc.num), disc.den)
-    c, a = _rational_sqrt(content), unit_log(disc / rational(content))
-    if c is None or a is None:
-        return None
-    w = rational(c) * unit_exp(a / 2)
-    return w if big_n % w.conductor == 0 else None
+    p, squarefree, (q, w) = _monic(p), False, _prime_and_root(big_n, 1)
+    while True:
+        d, big_d = p.degree(), math.lcm(*(c.den for c in p.coeffs))
+        bound = big_d + max(big_d // c.den * sum(map(abs, c.num)) for c in p.coeffs)
+        m = q
+        while m <= (2 * bound + 1) << 20:
+            m *= m
+        u, inv = _unit_lift(big_n, q, w, m)
+        units = {n: pow(u, big_n // n, m) for n in {c.conductor for c in p.coeffs}}
+        g = [big_d ** (d - i) // c.den * _horner(c.num, units[c.conductor], m) % m
+             for i, c in enumerate(p.coeffs)]
+        if (roots := _simple_roots(tuple(c % q for c in g), q)) is not None:
+            break
+        if squarefree:
+            q, w = _prime_and_root(big_n, 2 * q)
+        else:
+            a, b = p.coeffs, [c * i for i, c in enumerate(p.coeffs)][1:]
+            while b:
+                a, b = b, Polynomial.of(_divmod(a, b)[1]).coeffs
+            p, squarefree = _monic(Polynomial(tuple(_divmod(p.coeffs, a)[0]))), True
+    for x in roots:
+        rho = _hensel(g, x, q, m)
+        for j in range(big_n // 2):
+            k = rho - m if 2 * rho > m else rho
+            if abs(k) <= bound:
+                root = zeta(big_n, j)._scale(k, big_d)
+                if not p(root):
+                    yield root
+                    break
+            rho = rho * inv % m
 
 
 def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum, ...] | None:
@@ -591,7 +630,7 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
     given, is the characteristic polynomial of ``a``, already computed.
 
     The rule: deflate every root c u with c rational and u a root of unity in
-    the extension (see ``_unit_root``); a quadratic remainder splits when its
+    the extension (see ``_unit_roots``); a quadratic remainder splits when its
     discriminant is a rational square times such a root of unity; a linear
     remainder always does.
 
@@ -616,20 +655,29 @@ def _triangular_diagonal(a: Matrix) -> list[CycNum] | None:
 
 def poly_roots_in_field(p: Polynomial, n: int) -> tuple[CycNum, ...] | None:
     """All roots of p with multiplicity, over Q(zeta_n) together with its
-    degree-bounded cyclotomic extensions, by the rule of ``eigenvalues_split``;
-    None when p does not split that way."""
+    degree-bounded cyclotomic extensions Q(zeta_L), by the rule of
+    ``eigenvalues_split``; None when p does not split that way.  Each root
+    c u that ``_unit_roots`` yields is deflated as often as it divides; the
+    root c u of y^2 - disc, found by the same search, splits a quadratic
+    remainder."""
     if p.degree() < 1:
         return ()
     big_n = _extension_conductor(n, p.degree())
     roots: list[CycNum] = []
-    while p.degree() > 1 and (root := _unit_root(p, big_n)) is not None:
-        roots.append(root)
-        p = p.deflate(root)
+    if any(big_n % c.conductor for c in p.coeffs):
+        raise FieldMismatch(f"coefficients outside Q(zeta_{big_n})")
+    for root in _unit_roots(p, big_n):
+        while p.degree() > 1 and (rest := p.deflate(root)) is not None:
+            roots.append(root)
+            p = rest
+        if p.degree() < 2:
+            break
     if p.degree() > 2:
         return None
     if p.degree() == 2:
         c0, c1, c2 = p.coeffs
-        w = _unit_sqrt(c1 * c1 - rational(4) * c2 * c0, big_n)
+        disc = c1 * c1 - rational(4) * c2 * c0
+        w = next(_unit_roots(Polynomial((-disc, zero(), one())), big_n), None)
         if w is None:
             return None
         half = rational(Fraction(1, 2)) * c2.inverse()

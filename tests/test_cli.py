@@ -203,6 +203,31 @@ def test_huge_discriminant_exit_0(capsys):
     assert json.loads(out)["eigen"] is None
 
 
+_PRIMES_1_MOD_12 = [x for x in range(13, 4 * 10 ** 4, 12)
+                    if all(x % d for d in range(2, math.isqrt(x) + 1))]
+_ONE_PLUS_P = 1 + math.prod(_PRIMES_1_MOD_12[:1000])
+
+
+@pytest.mark.parametrize("n, t", [
+    # x^2 - x + n, n = 10^4000 + 7: the root search lifts its roots mod 13 to
+    # a power of 13 above n, with no search for a prime of n's size.
+    (10 ** 4000 + 7, 1),
+    # Eigenvalues 1 and n = 1 + P, P the product of the first 1000 primes = 1
+    # (mod 12): their roots meet mod every prime the search could try next.
+    # Each failed prime is followed by one above twice it, so few are tried.
+    (_ONE_PLUS_P, 1 + _ONE_PLUS_P),
+], ids=["4000-digit-coefficient", "many-small-primes"])
+def test_large_factor_exit_0_quickly(capsys, n, t):
+    g1, g2 = Matrix.from_rows([[0, -n], [1, t]]), Matrix.from_rows([[1, 1], [0, 1]])
+    mats = [g1, g2, (g1 @ g2).inverse()]
+    payload = json.dumps({"matrices": [wire.matrix_to_json(g) for g in mats]})
+    start = time.perf_counter()
+    status, out = run_cli(capsys, "mon", "--input", payload)
+    assert time.perf_counter() - start < 2
+    assert status == 0
+    assert json.loads(out)["eigen"] is None
+
+
 def test_semiprime_norm_exit_0_quickly(capsys):
     # x^2 - x + N with N = 1000000007 * 998244353: trial division of the norm
     # up to its square root never returned; the rule needs no divisors.

@@ -2,18 +2,18 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rigidmono import (CycNum, Matrix, Polynomial, charpoly, cyclotomic, eigenvalues_split,
-                       linalg, one, rank_and_kernel_dim, rational, sort_key, zero, zeta)
-from rigidmono.cyclotomic import euler_phi, unit_exp
+from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, linalg, one,
+                       rank_and_kernel_dim, rational, sort_key, zero, zeta)
+from rigidmono.cyclotomic import _prime_divisors, euler_phi, unit_exp, unit_log
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import (_extension_conductor, _rational_roots, _rational_sqrt, algebra_dim,
-                              poly_roots_in_field)
+from rigidmono.linalg import _extension_conductor, algebra_dim, poly_roots_in_field
 from rigidmono.monodromy import centralizer_dim
 
 M = Matrix.from_rows
@@ -301,8 +301,8 @@ def test_polynomial_evaluation_and_deflation():
 
 
 def test_nth_root_is_exact_beyond_float_range():
-    # The exact square root that decides quadratic remainders, on inputs far
-    # above the float range (a float root of 10**400 overflows).
+    # The oracle's exact square root of a quadratic remainder's discriminant,
+    # on inputs far above the float range (a float root of 10**400 overflows).
     assert _rational_sqrt(Fraction(10 ** 400)) == 10 ** 200
     assert _rational_sqrt(Fraction(10 ** 400 + 1)) is None
     assert _rational_sqrt(Fraction(3 ** 200, 7 ** 300)) == Fraction(3 ** 100, 7 ** 150)
@@ -481,13 +481,101 @@ def test_eigenvalues_read_the_field_of_the_entries(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The eigenvalue rule that the integer trace test replaced: the rational parts
-# pi(q_u) as Fractions, and a CycNum Horner evaluation of p at every candidate.
-# It is kept as the oracle of the differential test below.
+# The eigenvalue rule that the modular root search replaced, kept as the oracle
+# of the differential test below: the rational parts pi(q_u) as Fractions, their
+# rational roots by the quadratic formula or Sturm bisection, a CycNum Horner
+# evaluation of p at every candidate, and a unit square root for a quadratic
+# remainder.
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[int, ...]:
+    # Tr(zeta_n^e) from Q(zeta_n) to Q, for e in 0..n-1: zeta_n^e is a
+    # primitive m-th root with m = n / gcd(e, n), whose trace over Q(zeta_m) is
+    # the Moebius value mu(m): 0 unless m is squarefree, else (-1)^(#primes).
+    phi = euler_phi(n)
+    out = []
+    for e in range(n):
+        m = n // math.gcd(e, n)
+        primes = _prime_divisors(m)
+        mu = (-1) ** len(primes) if math.prod(primes) == m else 0
+        out.append(mu * (phi // euler_phi(m)))
+    return tuple(out)
+
+
+def _rational_sqrt(f: Fraction) -> Fraction | None:
+    """The exact square root of f >= 0, or None if f is not a rational square."""
+    if f < 0:
+        return None
+    num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if num * num != f.numerator or den * den != f.denominator:
+        return None
+    return Fraction(num, den)
+
+
+def _rem(f: list[int], g: list[int]) -> list[int]:
+    # A positive multiple of f mod g, over its content (no trailing zeros).
+    a, sign, r = abs(g[-1]), 1 if g[-1] > 0 else -1, f
+    while len(r) >= len(g):
+        c, r = sign * r[-1], [a * x for x in r[:-1]]
+        for i, y in enumerate(g[:-1], len(r) - len(g) + 1):
+            r[i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    c = math.gcd(*r)
+    return [x // c for x in r] if c > 1 else r
+
+
+def _rational_roots(f) -> list[Fraction]:
+    """The distinct rational roots, largest first, of the polynomial f with
+    rational coefficients (lowest degree first, degree at least 1).  Made
+    integral with lead l > 0, f has its rational roots among the k / l; Sturm
+    counts at the (2k + 1) / (2 l), never roots, bisect the range of k."""
+    m = math.lcm(*(c.denominator for c in f)) * (1 if f[-1] > 0 else -1)
+    g = [int(c * m) for c in f]
+    seq, lead = [g, [i * c for i, c in enumerate(g)][1:]], g[-1]
+    while len(seq[-1]) > 1 and (r := _rem(seq[-2], seq[-1])):
+        seq.append([-x for x in r])
+
+    def value(h: list[int], num: int, den: int) -> int:  # den^deg(h) h(num / den)
+        return sum(c * num ** i * den ** (len(h) - 1 - i) for i, c in enumerate(h))
+
+    def changes(k: int) -> int:
+        signs = [v > 0 for v in (value(h, 2 * k + 1, 2 * lead) for h in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    top = lead + max(map(abs, g))  # Cauchy: |root| < 1 + max |g_i| / lead
+    roots, ranges = [], [(-top - 1, top)]  # the candidates k / lead with lo < k <= hi
+    while ranges:
+        lo, hi = ranges.pop()
+        if changes(lo) == changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            ranges += [(lo, mid), (mid, hi)]
+        elif not value(g, hi, lead):
+            roots.append(Fraction(hi, lead))
+    return roots
+
+
+def _unit_sqrt(disc: CycNum, big_n: int) -> CycNum | None:
+    """A square root of disc of the form c u with c rational and u^big_n = 1.
+
+    disc = c^2 u^2 has content c^2, because a root of unity has coprime
+    integer coordinates; so disc over its content must be a root of unity and
+    the content a rational square.
+    """
+    if not disc:
+        return zero()
+    content = Fraction(math.gcd(*disc.num), disc.den)
+    c, a = _rational_sqrt(content), unit_log(disc / rational(content))
+    if c is None or a is None:
+        return None
+    w = rational(c) * unit_exp(a / 2)
+    return w if big_n % w.conductor == 0 else None
+
 
 def _oracle_rational_parts(z, n):
     # pi(z zeta_n^j) = Tr(z zeta_n^j) / phi(n) for j = 0..n-1.
-    weights, step = cyclotomic._trace_weights(n), n // z.conductor
+    weights, step = _trace_weights(n), n // z.conductor
     terms = [(i * step, c) for i, c in enumerate(z.num) if c]
     den = z.den * euler_phi(n)
     return tuple(Fraction(sum(c * weights[(e + j) % n] for e, c in terms), den)
@@ -515,6 +603,30 @@ def _oracle_unit_root(p, big_n):
                 if not p(root):
                     return root
     return None
+
+
+def _oracle_poly_roots(p, n):
+    # poly_roots_in_field as it was: deflate one root c u at a time, then a
+    # quadratic remainder by the unit square root of its discriminant.
+    if p.degree() < 1:
+        return ()
+    big_n = _extension_conductor(n, p.degree())
+    roots = []
+    while p.degree() > 1 and (root := _oracle_unit_root(p, big_n)) is not None:
+        roots.append(root)
+        p = p.deflate(root)
+    if p.degree() > 2:
+        return None
+    if p.degree() == 2:
+        c0, c1, c2 = p.coeffs
+        w = _unit_sqrt(c1 * c1 - rational(4) * c2 * c0, big_n)
+        if w is None:
+            return None
+        half = rational(Fraction(1, 2)) * c2.inverse()
+        roots += [(-c1 + w) * half, (-c1 - w) * half]
+    elif p.degree() == 1:
+        roots.append(-p.coeffs[0] / p.coeffs[1])
+    return tuple(sorted(roots, key=sort_key))
 
 
 def _poly_mul(f, g):
@@ -556,22 +668,116 @@ def _eigen_polys(draw):
 @given(_eigen_polys())
 def test_eigenvalue_rule_matches_the_candidate_check_oracle(data):
     p, n = data
-    big_n = _extension_conductor(n, p.degree())
-    assert linalg._unit_root(p, big_n) == _oracle_unit_root(p, big_n)
-    with mock.patch.object(linalg, "_unit_root", _oracle_unit_root):
-        want = poly_roots_in_field(p, n)
-    assert poly_roots_in_field(p, n) == want
+    assert poly_roots_in_field(p, n) == _oracle_poly_roots(p, n)
 
 
-def test_false_p0_candidates_are_rejected_by_the_integer_test():
-    # p = y^2 + i y - 1 has the roots zeta_12^7 and zeta_12^11.  At u = 1 the
-    # trace row P_0 = 8 y^2 - 8 (Tr(i) = 0 in Q(zeta_24)) has the roots +-1,
-    # which are not roots of p: the integer test must reject them, so that p
-    # itself is evaluated only at the root the rule returns.
+def test_p_is_evaluated_only_at_its_roots():
+    # p = y^2 + i y - 1 has the roots zeta_12^7 and zeta_12^11, and its
+    # rational part at u = 1, y^2 - 1, has the roots +-1, which are not roots
+    # of p.  The lifted roots mod q give no such false candidate: p itself is
+    # evaluated only at the first root found, and the other one is linear.
     p = Polynomial.of([-1, zeta(4), 1])
-    assert [row[0] for row in cyclotomic._trace_rows(p.coeffs, 24)] == [-8, 0, 8]
     evaluated, evaluate = [], Polynomial.__call__
     with mock.patch.object(Polynomial, "__call__",
                            lambda self, x: evaluated.append(x) or evaluate(self, x)):
-        root = linalg._unit_root(p, 24)
-    assert root == zeta(12, 7) and evaluated == [root]
+        roots = poly_roots_in_field(p, 4)
+    assert roots == _sorted([zeta(12, 7), zeta(12, 11)])
+    assert len(evaluated) == 1 and evaluated[0] in roots
+
+
+def test_a_candidate_needs_the_exact_check():
+    # a = 1 + 2 * 13^40 has the 13-adic square roots +-(1 + 13^40 - ...),
+    # which agree with the integers +-(1 + 13^40) past the working precision
+    # 13^64 (q = 13 at n = 1).  Those integers lie within Cauchy's bound, so
+    # only p's exact value rejects them, here and for the discriminant 4a.
+    a = 1 + 2 * 13 ** 40
+    assert linalg._prime_and_root(_extension_conductor(1, 2), 1)[0] == 13
+    assert poly_roots_in_field(Polynomial.of([-a, 0, 1]), 1) is None
+    assert poly_roots_in_field(Polynomial.of([-a * a, 0, 1]), 1) == _sorted(
+        [rational(a), rational(-a)])
+
+
+def _from_roots(roots):
+    poly = [one()]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, one()])
+    return Polynomial.of(poly)
+
+
+@pytest.mark.parametrize("roots, n", [
+    # Every root c u: the lifted roots mod q all count.
+    ([rational(2), rational(-3), zeta(4), rational(Fraction(5, 2)) * zeta(3)], 12),
+    # 1 = 14 = 27 (mod 13): no root is simple mod the first q, so the search
+    # moves on to 37, the least prime = 1 (mod 12) above 2 * 13.
+    ([rational(1), rational(14), rational(27)], 1),
+    # 1 = 482 (mod 13 and mod 37): the search takes 97, the least such prime above 2 * 37.
+    ([rational(1), rational(1 + 13 * 37)], 1),
+    # 1 = 14 +- 13i (mod 13), and only 1 is c u: the search moves on to 37,
+    # and so does the one for the remainder's discriminant -26^2.
+    ([rational(1), 14 + rational(13) * zeta(4), 14 - rational(13) * zeta(4)], 1),
+    # A repeated root c u: no prime has it simple, so p becomes p / gcd(p, p').
+    ([rational(3) * zeta(5), rational(3) * zeta(5), rational(-1)], 5),
+    # (x - (1 + i))^2 (x - 1): a repeated root that is not c u, left to the
+    # quadratic remainder, whose discriminant is 0.
+    ([1 + zeta(4), 1 + zeta(4), rational(1)], 4),
+])
+def test_roots_past_a_prime_that_merges_them(roots, n):
+    assert poly_roots_in_field(_from_roots(roots), n) == _sorted(roots)
+
+
+@pytest.mark.parametrize("q, count", [(13, 200), (241, 100), (2161, 30), (143401, 3)])
+def test_simple_roots_match_trial(q, count):
+    # The roots mod q from gcd(g, x^q - x), split by powers of x + a, against
+    # trial of every residue, on monic g with a random factor and random
+    # roots, one of them sometimes repeated; None when a root is not simple.
+    rng = random.Random(q)
+    for _ in range(count):
+        roots = [rng.randrange(q) for _ in range(rng.randrange(4))]
+        g = [rng.randrange(q) for _ in range(rng.randrange(3))] + [1]
+        for r in roots + roots[:rng.randrange(2)]:
+            g = [(x - r * y) % q for x, y in zip([0] + g, g + [0])]
+        want = [x for x in range(q) if not linalg._horner(g, x, q)]
+        dg = [i * c for i, c in enumerate(g)][1:]
+        got = linalg._simple_roots(tuple(g), q)
+        if all(linalg._horner(dg, x, q) for x in want):
+            assert got is not None and sorted(got) == want
+        else:
+            assert got is None
+
+
+def test_conjugated_jordan_block_has_its_double_root():
+    # A conjugated Jordan block of c u: the characteristic polynomial
+    # (x - c u)^2 has no simple root mod any prime, so the first prime must
+    # serve its squarefree part; walking on to the next prime never ends.
+    lam, h = rational(Fraction(-2, 3)) * zeta(8, 3), M([[2, 1], [3, 2]])
+    a = h @ M([[lam, 1], [0, lam]]) @ h.inverse()
+    primes, search = [], linalg._prime_and_root
+
+    def counted(n, least=2 ** 30):
+        primes.append(least)
+        assert len(primes) < 10, "a repeated root sent the search past every prime"
+        return search(n, least)
+    with mock.patch.object(linalg, "_prime_and_root", counted):
+        assert eigenvalues_split(a) == (lam, lam)
+    assert primes == [1]
+    assert poly_roots_in_field(charpoly(a), 8) == (lam, lam)
+
+
+@pytest.mark.parametrize("degree, big_n, below", [(2, 12, 4 * 10 ** 4), (4, 120, 28 * 10 ** 4)])
+def test_a_discriminant_of_many_primes_costs_few_of_them(degree, big_n, below):
+    # The roots 1 and 1 + P meet mod every prime = 1 (mod big_n) that divides
+    # P, here all of them below ``below`` (about 1000 and 750 primes).  After
+    # each failed prime the next one is above twice it, so the search tries
+    # about log2(below / q) primes, not one per prime factor of P.
+    primes = [x for x in range(big_n + 1, below, big_n)
+              if all(x % d for d in range(2, math.isqrt(x) + 1))]
+    roots = [rational(r) for r in (1, 1 + math.prod(primes), 2, 3)[:degree]]
+    assert _extension_conductor(1, degree) == big_n
+    calls, search = [], linalg._prime_and_root
+
+    def counted(n, least=2 ** 30):
+        calls.append(least)
+        return search(n, least)
+    with mock.patch.object(linalg, "_prime_and_root", counted):
+        assert poly_roots_in_field(_from_roots(roots), 1) == _sorted(roots)
+    assert len(calls) <= 2 + math.log2(below / primes[0])

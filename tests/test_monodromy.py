@@ -441,6 +441,15 @@ def test_certificate_prime_and_root():
         if all(m % q for q in range(3, math.isqrt(m) + 1, 2))]
 
 
+def test_is_prime_matches_trial_division():
+    # Every m below 10^4, the small primes (a base equal to m) included.
+    assert [m for m in range(10 ** 4) if _is_prime(m)] == [
+        m for m in range(2, 10 ** 4) if all(m % q for q in range(2, math.isqrt(m) + 1))]
+    # The root search's primes: the least p = 1 (mod n) above a lower bound.
+    assert [_prime_and_root(12, least)[0] for least in (1, 13, 37)] == [13, 37, 61]
+    assert _prime_and_root(120, 1)[0] == 241
+
+
 @pytest.mark.parametrize("n", [1, 12])
 def test_burnside_falls_back_when_the_prime_divides_everything(n):
     # Every numerator a multiple of the chosen p: the images vanish, the

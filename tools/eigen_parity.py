@@ -1,7 +1,8 @@
 """Replay a seeded corpus of local monodromy factors through the eigenvalue rule.
 
 The corpus has 70 rank-2 and 10 rank-3 matrices over Q(zeta_n) for each
-conductor n = 1..60.  Half have random entries (small multiples of powers of
+conductor n = 1..60, and 3 rank-4 matrices for each n = 1..24, so the roots
+of degree 3 and 4 are searched too.  Half have random entries (small multiples of powers of
 zeta_n); the other half are block diagonals conjugated by a unimodular
 integer matrix, with 1 x 1 blocks c zeta_n^k (c rational) and 2 x 2 blocks
 x^2 - a, where a is either c^2 zeta_n^k, so the roots lie in the degree-bounded
@@ -10,7 +11,8 @@ characteristic polynomials all occur.  The characteristic polynomials are
 computed first; then ``linalg.poly_roots_in_field(p, n)`` runs on each, n the
 lcm of the entries' conductors, with its wall time summed per rank.  One
 SHA-256 over the outputs is printed, so two checkouts print equal hashes
-exactly when the rule answers every factor alike.
+exactly when the rule answers every factor alike.  Run it once per checkout
+to compare them, hashes and per-rank times alike:
 
     python tools/eigen_parity.py --seed 1
     python tools/eigen_parity.py --root ../other-checkout --seed 1
@@ -26,8 +28,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-CONDUCTORS = range(1, 61)
-PER_CONDUCTOR = {2: 70, 3: 10}
+# (rank, conductors, factors per conductor)
+STRATA = ((2, range(1, 61), 70), (3, range(1, 61), 10), (4, range(1, 25), 3))
 
 
 def main() -> int:
@@ -68,9 +70,9 @@ def main() -> int:
         conj = lower @ upper
         return conj @ Matrix.from_rows(rows) @ conj.inverse()
 
-    polys = {r: [] for r in PER_CONDUCTOR}
-    for n in CONDUCTORS:
-        for r, count in PER_CONDUCTOR.items():
+    polys = {r: [] for r, _, _ in STRATA}
+    for r, conductors, count in STRATA:
+        for n in conductors:
             for _ in range(count):
                 a = factor(n, r)
                 polys[r].append((charpoly(a), math.lcm(*(e.conductor for e in a.entries))))
