@@ -20,6 +20,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import serialize as wire
@@ -141,7 +142,9 @@ def _tori_enumerate(obj, cfg: RunConfig) -> dict:
     if not wire.is_int(bound) or bound < 1:
         raise SchemaError("tori enumerate: 'order_bound' must be a positive integer")
     pts = enumerate_torsion(c, bound)
-    return {"points": sorted([wire.rational_to_json(x) for x in p] for p in pts)}
+    # One string per residue that occurs; b may be as large as the grid budget.
+    text = {i: wire.rational_to_json(Fraction(i, bound)) for i in set().union(*pts)}
+    return {"points": sorted([text[i] for i in p] for p in pts)}
 
 
 def _tori_formula(obj, cfg: RunConfig) -> dict:

@@ -7,12 +7,16 @@ rows.  Relation rows need not be saturated, so finite subgroup factors (for
 instance preimages under non-injective monomial maps) stay single objects.
 Intersections, preimages and the listing of torsion points of bounded order
 all solve one congruence system through one Smith normal form, never a grid
-scan; inconsistent systems yield the canonical empty coset.
+scan; inconsistent systems yield the canonical empty coset.  The kernel is
+integer-only: a listed point of order dividing b is its numerators over b,
+and Fractions appear only in ``TorsionCoset.of``, ``.translate`` and
+``solve_congruences``.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -240,12 +244,15 @@ def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCose
 
 
 def enumerate_torsion(c: TorsionCoset, order_bound: int,
-                      grid_budget: int = DEFAULT_GRID_BUDGET) -> set[tuple[Fraction, ...]]:
-    """All torsion points of exponent dividing order_bound = b on the coset,
-    listed from one Smith normal form: the rows b e_k stacked under the
-    relations make every d_k divide b and b y integral, so b q = V (b y + j b / d)
-    mod b for j in the product of range(d_k), one point each.  ``grid_budget``
-    bounds the search space b^N, not the work done (the Smith form plus the output)."""
+                      grid_budget: int = DEFAULT_GRID_BUDGET) -> set[tuple[int, ...]]:
+    """All torsion points q of exponent dividing order_bound = b on the coset,
+    each listed as its numerators b q mod b in [0, b) (the point is
+    Fraction(x, b) coordinate-wise).  One Smith normal form lists them: the
+    rows b e_k stacked under the relations make every d_k divide b and b y
+    integral, so b q = V (b y + j b / d) mod b for j in the product of
+    range(d_k), one point each, reached by stepping (b / d_k) V e_k mod b
+    along each axis.  ``grid_budget`` bounds the search space b^N, not the
+    work done (the Smith form plus the output)."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
     b, n = order_bound, c.dim
@@ -257,10 +264,17 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int,
     if (solved := _diagonalize(rows, _targets(c, c.den) + [0] * n, c.den, n)) is None:
         return set()
     d, y, big, v = solved
-    steps = (range(b * yk // big, b * yk // big + b, b // dk) for yk, dk in zip(y, d))
-    over_b = [Fraction(i, b) for i in range(b)]
-    return {tuple(over_b[sum(w * x for w, x in zip(row, by)) % b] for row in v)
-            for by in itertools.product(*steps)}
+    by = [b * yk // big for yk in y]
+    pts = [tuple(sum(w * x for w, x in zip(row, by)) % b for row in v)]
+    mod_b = itertools.repeat(b)
+    for k, dk in enumerate(d):
+        step = [row[k] * (b // dk) % b for row in v]
+        layers = [pts]
+        for _ in range(dk - 1):
+            layers.append([tuple(map(operator.mod, map(operator.add, p, step), mod_b))
+                           for p in layers[-1]])
+        pts = list(itertools.chain.from_iterable(layers))
+    return set(pts)
 
 
 # ---------------------------------------------------------------------------

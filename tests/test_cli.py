@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,27 @@ def test_tori_ops(capsys):
     status, out = run_cli(capsys, "tori", "--input", payload)
     assert status == 0
     assert json.loads(out)["value"] is False
+
+
+def test_off_grid_listing_at_the_top_of_the_budget_exit_0_quickly(capsys):
+    # b = 1,999,999 is not a multiple of 3, so no point lies on the coset; the
+    # listing must not build anything of size b on the way to "points": [].
+    payload = json.dumps({"op": "enumerate", "coset": {"N": 1, "L": [[1]], "tau": ["1/3"]},
+                          "order_bound": 1_999_999})
+    start = time.perf_counter()
+    status, out = run_cli(capsys, "tori", "--input", payload)
+    assert time.perf_counter() - start < 0.5
+    assert status == 0
+    assert json.loads(out) == {"points": []}
+
+
+def test_full_torus_listing_matches_the_fraction_strings(capsys):
+    b = 30_030
+    payload = json.dumps({"op": "enumerate", "coset": {"N": 1, "L": [], "tau": ["0"]},
+                          "order_bound": b})
+    status, out = run_cli(capsys, "tori", "--input", payload)
+    assert status == 0
+    assert json.loads(out)["points"] == sorted([str(Fraction(i, b))] for i in range(b))
 
 
 def test_budget_exit_3(capsys):

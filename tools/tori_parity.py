@@ -13,7 +13,9 @@ formulas over these cosets, and on ``nonsimple_locus_formula`` for s up to
 leaf is evaluated) and at random points.
 
 Only the public API is used, so two checkouts print equal hashes exactly when
-they answer every operation alike.  One SHA-256 over all outputs is printed,
+they answer every operation alike.  Listed points are hashed as Fraction
+strings, whether a checkout lists them as numerators over the order bound or
+as Fractions.  One SHA-256 over all outputs is printed,
 with the number of calls, of non-empty or true answers, and the wall time
 of each operation.
 
@@ -67,7 +69,7 @@ def main() -> int:
         elif isinstance(out, TorusFormula):
             wire = formula_to_json(out)
         elif isinstance(out, set):
-            wire = sorted([str(x) for x in pt] for pt in out)
+            wire = sorted([str(_over(x, fargs[1])) for x in pt] for pt in out)
         else:
             wire = out
         digest.update(json.dumps([op, wire], sort_keys=True).encode() + b"\n")
@@ -112,7 +114,8 @@ def main() -> int:
             bound = rng.choice(bounds)
             grid = coset(n, point(n, bound) if rng.random() < 0.5 else None)
             listed = timed("enumerate", enumerate_torsion, grid, bound)
-            on = [list(pt) for pt in rng.sample(sorted(listed), min(3, len(listed)))]
+            on = [[_over(x, bound) for x in pt]
+                  for pt in rng.sample(sorted(listed), min(3, len(listed)))]
             for q in on + [list(a.translate), point(n), point(n, bound)]:
                 timed("membership", coset_membership, q, grid)
                 timed("membership", coset_membership, q, a)
@@ -130,6 +133,12 @@ def main() -> int:
               f"{seconds[op]:8.3f} s")
     print(f"seed {args.seed}  sha256 {digest.hexdigest()}")
     return 0
+
+
+def _over(x, b):
+    # A listed coordinate as a Fraction: numerators over b are ints, and a
+    # checkout that lists Fractions passes them through.
+    return Fraction(x, b) if isinstance(x, int) else x
 
 
 def _locus_point(rng, s, triple, on):
