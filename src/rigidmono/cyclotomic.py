@@ -207,21 +207,45 @@ def _vanishes(rows, num) -> bool:
     return True
 
 
-def _normalize(n: int, num: list[int], den: int) -> CycNum:
-    """The element num/den at conductor n, in canonical form: descend to the
-    minimal conductor one prime at a time, then divide out the gcd."""
+def _descend(n: int, nums) -> tuple[int, list]:
+    """(m, coordinates at m) of the coordinate vectors nums at conductor n, m
+    the least conductor whose field holds them all.  A prime step is taken
+    when every vector lies in the smaller field; the fields holding them all
+    are closed under gcd, so the greedy steps end at the least one."""
     while n > 1:
-        if not any(num[1:]):
-            n, num = 1, num[:1]
-            break
+        for num in nums:
+            if any(num[1:]):
+                break
+        else:
+            return 1, [num[:1] for num in nums]
         for p in _prime_divisors(n):
             others, first = _descent_data(n, p)
-            if _vanishes(others, num):
-                num = [sum([num[i] * a for i, a in row]) for row in first]
+            for num in nums:
+                if not _vanishes(others, num):
+                    break
+            else:
+                nums = [[sum([num[i] * a for i, a in row]) for row in first] for num in nums]
                 n //= p
                 break
         else:
             break
+    return n, nums
+
+
+def _from_ratios(n: int, parts) -> tuple[int, list, int]:
+    # (m, coordinates at m, den) of the sums of p_i / q_i zeta_k^i over parts (k, [(p_i, q_i)]),
+    # k | n: one lift to n over one denominator den, one descent of them all to their least m.
+    den, phi = math.lcm(*[q for _, pairs in parts for _, q in pairs]), euler_phi(n)
+    # q | den, so p * (den // q) / den == p / q, whatever the sign of q.
+    num = [_combine(n, ((j * (n // k), p * (den // q)) for j, (p, q) in enumerate(pairs)), phi)
+           for k, pairs in parts]
+    return (*_descend(n, num), den)
+
+
+def _normalize(n: int, num: list[int], den: int) -> CycNum:
+    """The element num/den at conductor n, in canonical form: descend to the
+    minimal conductor, then divide out the gcd."""
+    n, (num,) = _descend(n, (num,))
     return _lowest_terms(n, num, den)
 
 
@@ -275,10 +299,8 @@ class CycNum:
             raise InvalidConductor(f"conductor must be positive, got {n}")
         if len(pairs) > n:
             raise InvalidConductor(f"coefficient list longer than conductor {n}")
-        den = math.lcm(*(q for _, q in pairs))
-        # q | den, so p * (den // q) / den == p / q, whatever the sign of q.
-        terms = ((k, p * (den // q)) for k, (p, q) in enumerate(pairs))
-        return _normalize(n, _combine(n, terms, euler_phi(n)), den)
+        n, (num,), den = _from_ratios(n, [(n, pairs)])
+        return _lowest_terms(n, num, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

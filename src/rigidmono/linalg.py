@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, euler_phi, one, rational,
-                         sort_key, zero, zeta)
+from .cyclotomic import (CycNum, _descend, _dot, _lift, _normalize, _prime_divisors, euler_phi,
+                         one, rational, sort_key, zero, zeta)
 from .errors import FieldMismatch, NotInvertible, ShapeError
 
 
@@ -167,10 +167,6 @@ class Matrix:
             raise ShapeError(f"index {key} out of range")
         return self.entries[i * self.cols + j]
 
-    def row_list(self) -> list[list[CycNum]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -238,13 +234,9 @@ class Matrix:
         return adj.scale(-c0.inverse())
 
     def __repr__(self):
-        def show(c):
-            if c.conductor == 1:
-                return str(c.as_rational())
-            return repr(c)
-        body = ", ".join("[" + ", ".join(show(v) for v in row) + "]"
-                         for row in self.row_list())
-        return f"Matrix([{body}])"
+        ent = [str(v.as_rational()) if v.conductor == 1 else repr(v) for v in self.entries]
+        rows = (", ".join(ent[i:i + self.cols]) for i in range(0, len(ent), self.cols))
+        return f"Matrix([{', '.join(f'[{r}]' for r in rows)}])"
 
 
 def _echelon_add(rows: list, vec, n: int) -> bool:
@@ -639,7 +631,7 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
     """
     if not a.is_square():
         raise ShapeError("eigenvalues of a non-square matrix")
-    n = math.lcm(*[e.conductor for e in a.entries])
+    n = _descend(a.conductor, a.num)[0]
     tri = _triangular_diagonal(a)
     if tri is not None:
         return tuple(sorted(tri, key=sort_key))

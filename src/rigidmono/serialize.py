@@ -2,15 +2,18 @@
 
 All rationals travel as strings so no reader ever rounds them; multisets are
 serialized in the canonical order (conductor, then coordinates), making
-reports byte-stable.  Parsers are strict: unknown keys are rejected.  A
-``conductor_cap`` is enforced before any field arithmetic: first on each
-declared conductor, then on the lcm of one matrix's decoded entries before
-the matrix lifts them, then on the lcm of a tuple's matrices (or of all the
-eigenvalues of eigenvalue data) before they are multiplied.  A plain rational
-string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``; every other
-spelling goes through ``Fraction``.  Every integer a report writes as text
-passes :func:`int_text`, which refuses one past the interpreter's digit limit
-as a budget.
+reports byte-stable.  Parsers are strict: unknown keys are rejected, and a
+failed check builds its message only then.  A ``conductor_cap`` is enforced
+before any field arithmetic: on each declared conductor as its entry is read;
+on the lcm of a matrix's declared conductors, within which its entries are
+lifted once to that lcm over one denominator and the matrix descends once, a
+prime at a time, to its least conductor (past it, or with no cap, each entry
+descends alone and the cap holds on their least conductors before any lift);
+then on the lcm of a tuple's matrices (or of all the eigenvalues of eigenvalue
+data) before they are multiplied.  A plain rational string, ``"p"`` or
+``"p/q"`` in ASCII digits, is read with ``int``; every other spelling goes
+through ``Fraction``.  Every integer a report writes as text passes
+:func:`int_text`, which refuses one past the interpreter's digit limit.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cyclotomic import CycNum, _make, sort_key
+from .cyclotomic import CycNum, _from_ratios, _make, sort_key
 from .errors import BudgetExceeded, SchemaError
 from .galois import AbsoluteVerdict
 from .linalg import Matrix, Polynomial
@@ -29,9 +32,10 @@ from .residues import CurveGeometry, ResidueData
 from .tori import TorsionCoset, TorusFormula
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str, *args):
+    # The message is msg.format(*args), built only when the check fails.
     if not cond:
-        raise SchemaError(msg)
+        raise SchemaError(msg.format(*args))
 
 
 def is_int(obj) -> bool:
@@ -41,9 +45,9 @@ def is_int(obj) -> bool:
 
 def check_keys(obj, allowed: set[str], what: str) -> dict:
     """``obj``, checked to be a JSON object with no key outside ``allowed``."""
-    _require(isinstance(obj, dict), f"{what}: expected a JSON object")
-    unknown = set(obj) - allowed
-    _require(not unknown, f"{what}: unknown keys {sorted(unknown)}")
+    _require(isinstance(obj, dict), "{}: expected a JSON object", what)
+    if not allowed.issuperset(obj):
+        raise SchemaError(f"{what}: unknown keys {sorted(obj.keys() - allowed)}")
     return obj
 
 
@@ -52,7 +56,7 @@ def _check_declared(obj: dict, what: str, rank: int, punctures: int):
     for key, name, value in (("r", "rank", rank), ("s", "punctures", punctures)):
         if key in obj:
             _require(is_int(obj[key]) and obj[key] == value,
-                     f"{what}: declared {name} {obj[key]!r} != {value}")
+                     "{}: declared {} {!r} != {}", what, name, obj[key], value)
 
 
 def _enforce_conductor_cap(values, cap: int | None):
@@ -87,8 +91,10 @@ def _str_ratio(s: str, what: str) -> tuple[int, int]:
     # (p, q), q > 0, of a rational string: a plain "p" or "p/q" by int, any other spelling
     # ('+', spaces, '_', decimals, exponents, non-ASCII digits) by one Fraction, whose
     # decimal exponent is first held to the digit limit (Fraction expands it in full).
-    m = _PLAIN.fullmatch(s)
     try:
+        if s.isascii() and s.isdigit():   # the commonest spelling, such as "0" or "1"
+            return int(s), 1
+        m = _PLAIN.fullmatch(s)
         if m is None:
             _, e, exp = s.lower().rpartition("e")
             if e and abs(int(exp)) > sys.get_int_max_str_digits():
@@ -104,18 +110,20 @@ def _str_ratio(s: str, what: str) -> tuple[int, int]:
 
 def _ratio_from_json(obj, what: str) -> tuple[int, int]:
     # (p, q), q != 0, from a rational string, an int or a pair of ints or int strings (no bool).
-    if isinstance(obj, str):
+    if isinstance(obj, list) and len(obj) == 2:
+        p, q = obj
+        if type(p) in (int, str) and type(q) in (int, str):
+            try:
+                p, q = int(p), int(q)
+                if q:
+                    return p, q
+            except ValueError:
+                pass
+            raise SchemaError(f"{what}: bad fraction {obj!r}")
+    elif isinstance(obj, str):
         return _str_ratio(obj, what)
-    if type(obj) is int:
+    elif type(obj) is int:
         return obj, 1
-    try:
-        if (isinstance(obj, list) and len(obj) == 2 and type(obj[0]) in (int, str)
-                and type(obj[1]) in (int, str)):
-            p, q = int(obj[0]), int(obj[1])
-            _require(q != 0, f"{what}: bad fraction {obj!r}")
-            return p, q
-    except ValueError as exc:
-        raise SchemaError(f"{what}: bad fraction {obj!r}") from exc
     raise SchemaError(f"{what}: expected a fraction string, got {obj!r}")
 
 
@@ -134,20 +142,34 @@ def cyc_to_json(z: CycNum) -> dict:
                   for c in z.num for g in (math.gcd(c, den),)]}
 
 
-def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
-    if isinstance(obj, (str, int)):   # a rational, at conductor 1 in lowest terms
-        p, q = _ratio_from_json(obj, what)
-        g = math.gcd(p, q)
-        return _make(1, (p // g,), q // g)
+def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, list[tuple[int, int]]]:
+    # (declared conductor, coordinate pairs (p, q), q != 0) of a scalar, checked in this
+    # order: keys, conductor, declared cap, the 'c' list.  A rational is at conductor 1.
+    if isinstance(obj, (str, int)):
+        return 1, [_ratio_from_json(obj, what)]
     check_keys(obj, {"n", "c"}, what)
-    _require("n" in obj and "c" in obj, f"{what}: needs keys 'n' and 'c'")
+    _require("n" in obj and "c" in obj, "{}: needs keys 'n' and 'c'", what)
     n = obj["n"]
-    _require(is_int(n) and n >= 1, f"{what}: bad conductor {n!r}")
+    _require(is_int(n) and n >= 1, "{}: bad conductor {!r}", what, n)
     if conductor_cap is not None and n > conductor_cap:
         raise BudgetExceeded(f"{what}: declared conductor {n} exceeds the cap of {conductor_cap}")
-    _require(isinstance(obj["c"], list) and len(obj["c"]) <= n,
-             f"{what}: 'c' must be a list of at most n = {n} coordinates")
-    return CycNum.from_ratios([_ratio_from_json(c, what) for c in obj["c"]], n)
+    c = obj["c"]
+    _require(isinstance(c, list) and len(c) <= n,
+             "{}: 'c' must be a list of at most n = {} coordinates", what, n)
+    return n, [_ratio_from_json(x, what) for x in c]
+
+
+def _cyc(n: int, pairs) -> CycNum:
+    # The scalar of _cyc_parts; a rational (at most one pair, q of either sign) as read.
+    if n > 1:
+        return CycNum.from_ratios(pairs, n)
+    p, q = pairs[0] if pairs else (0, 1)
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return _make(1, (p // g,), q // g)
+
+
+def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
+    return _cyc(*_cyc_parts(obj, what, conductor_cap))
 
 
 # -- matrices and tuples -----------------------------------------------------
@@ -164,10 +186,17 @@ def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
              "matrix: 'rows' and 'cols' must be integers")
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
-             f"matrix: expected {rows * cols} entries")
-    ent = tuple(cyc_from_json(v, "matrix entry", conductor_cap) for v in ent)
-    _enforce_conductor_cap(ent, conductor_cap)  # before the entries are lifted to their lcm
-    return Matrix(rows, cols, ent)
+             "matrix: expected {} entries", rows * cols)
+    parts = [_cyc_parts(v, "matrix entry", conductor_cap) for v in ent]
+    n = math.lcm(*[k for k, _ in parts])
+    if n == 1 or conductor_cap is None or n > conductor_cap:
+        # Entry by entry: rationals as read; past the cap (or with none, n unbounded) the
+        # least conductors first, which the cap then bounds before any lift.
+        ent = [_cyc(k, pairs) for k, pairs in parts]
+        _enforce_conductor_cap(ent, conductor_cap)
+        return Matrix(rows, cols, ent)
+    n, num, den = _from_ratios(n, parts)   # one lift and one descent of the whole matrix
+    return Matrix.from_coords(rows, cols, n, tuple(map(tuple, num)), den)
 
 
 def tuple_to_json(t: MonodromyTuple) -> dict:
@@ -310,8 +339,7 @@ def formula_from_json(obj) -> TorusFormula:
         return TorusFormula.leaf(coset_from_json(obj))
     check_keys(obj, {"op", "args"}, "formula")
     op = obj["op"]
-    _require(op in ("union", "intersection", "complement"),
-             f"formula: unknown operation {op!r}")
+    _require(op in ("union", "intersection", "complement"), "formula: unknown operation {!r}", op)
     args = obj.get("args")
     _require(isinstance(args, list) and args, "formula: 'args' must be a non-empty list")
     parsed = tuple(formula_from_json(a) for a in args)
@@ -319,7 +347,7 @@ def formula_from_json(obj) -> TorusFormula:
 
 
 def point_from_json(obj, what: str = "torsion point") -> list[Fraction]:
-    _require(isinstance(obj, list), f"{what}: expected a list of fractions")
+    _require(isinstance(obj, list), "{}: expected a list of fractions", what)
     return [rational_from_json(x, what) for x in obj]
 
 

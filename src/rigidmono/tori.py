@@ -247,11 +247,13 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int,
                       grid_budget: int = DEFAULT_GRID_BUDGET) -> set[tuple[int, ...]]:
     """All torsion points q of exponent dividing order_bound = b on the coset,
     each listed as its numerators b q mod b in [0, b) (the point is
-    Fraction(x, b) coordinate-wise).  One Smith normal form lists them: the
-    rows b e_k stacked under the relations make every d_k divide b and b y
-    integral, so b q = V (b y + j b / d) mod b for j in the product of
-    range(d_k), one point each, reached by stepping (b / d_k) V e_k mod b
-    along each axis.  ``grid_budget`` bounds the search space b^N, not the
+    Fraction(x, b) coordinate-wise).  One Smith normal form S = U L V of the
+    relations L lists them: with q = V y the system is d_k y_k = (U t)_k
+    (mod 1), and y_k in (1/b)Z solves it exactly when g = gcd(d_k, b) divides
+    the integer r_k = b (U t)_k, at b y_k = (r_k / g) (d_k / g)^-1 mod b / g
+    plus any multiple of b / g: g values mod 1 (b when d_k = 0), or none.  So
+    b q = V (b y) mod b, one point each, reached by stepping (b / g) V e_k mod
+    b along each axis.  ``grid_budget`` bounds the search space b^N, not the
     work done (the Smith form plus the output)."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
@@ -260,17 +262,20 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int,
         raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of {grid_budget}")
     if c.empty:
         return set()
-    rows = [list(r) for r in c.relations] + [[b * (i == j) for j in range(n)] for i in range(n)]
-    if (solved := _diagonalize(rows, _targets(c, c.den) + [0] * n, c.den, n)) is None:
+    rows = [list(r) for r in c.relations] or [[0] * n]   # no relations: the zero row
+    if (solved := _diagonalize(rows, _targets(c, c.den) or [0], c.den, n)) is None:
         return set()
     d, y, big, v = solved
-    by = [b * yk // big for yk in y]
+    gs, rs = [math.gcd(dk, b) for dk in d], [b * dk * yk for dk, yk in zip(d, y)]  # big r_k
+    if any(r % (big * g) for r, g in zip(rs, gs)):
+        return set()
+    by = [r // big // g * pow(dk // g, -1, b // g) % (b // g) for r, dk, g in zip(rs, d, gs)]
     pts = [tuple(sum(w * x for w, x in zip(row, by)) % b for row in v)]
     mod_b = itertools.repeat(b)
-    for k, dk in enumerate(d):
-        step = [row[k] * (b // dk) % b for row in v]
+    for k, g in enumerate(gs):
+        step = [row[k] * (b // g) % b for row in v]
         layers = [pts]
-        for _ in range(dk - 1):
+        for _ in range(g - 1):
             layers.append([tuple(map(operator.mod, map(operator.add, p, step), mod_b))
                            for p in layers[-1]])
         pts = list(itertools.chain.from_iterable(layers))

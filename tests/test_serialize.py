@@ -1,20 +1,22 @@
+import ast
 import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random_tuple
-from rigidmono import (ComponentSpec, CycNum, TorsionCoset, TorusFormula,
+from rigidmono import (ComponentSpec, CycNum, Matrix, TorsionCoset, TorusFormula,
                        deligne_residues, rational, zeta)
 from rigidmono.cyclotomic import euler_phi
 from rigidmono.galois import galois_orbit_eigen
 from rigidmono import cli
 from rigidmono import serialize as wire
-from rigidmono.errors import SchemaError
+from rigidmono.errors import BudgetExceeded, SchemaError
 
 F = Fraction
 
@@ -277,3 +279,104 @@ def test_matrix_conductor_cap_precedes_any_lift(monkeypatch):
     with pytest.raises(BudgetExceeded):
         wire.tuple_from_json({"r": 2, "s": 3, "matrices": [g13, g19, g13]}, 20)
     assert 247 not in lifts
+
+
+# -- matrices decoded straight to coordinates ---------------------------------
+
+@st.composite
+def wire_entries(draw):
+    # A matrix entry as the wire may carry it: a rational string or int, an n = 1 dict, or a
+    # value at conductor m written at a declared n = m t, its coordinate j at index j t, with
+    # a 'c' list up to m long (past phi(m)).  Coordinate pairs may have negative denominators.
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(coordinates.filter(lambda c: not isinstance(c, list)))
+    if kind == 1:
+        return {"n": 1, "c": draw(st.lists(coordinates, max_size=1))}
+    m, t = draw(st.integers(1, 24)), draw(st.sampled_from([1, 2, 3, 5]))
+    cs = draw(st.lists(coordinates, max_size=m))
+    c = ["0"] * (m * t)
+    c[::t] = cs + ["0"] * (m - len(cs))
+    return {"n": m * t, "c": c[:max(len(cs) - 1, 0) * t + 1] if cs else []}
+
+
+@st.composite
+def wire_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {"rows": rows, "cols": cols,
+            "entries": draw(st.lists(wire_entries(), min_size=rows * cols, max_size=rows * cols))}
+
+
+def _declared(entry) -> int:
+    return entry["n"] if isinstance(entry, dict) else 1
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(wire_matrices())
+def test_matrix_decoder_matches_the_entry_path(obj):
+    # One lift and one descent of the whole matrix give what entry-by-entry decoding and
+    # Matrix(rows, cols, entries) give; the cap reads the declared conductors first and the
+    # least ones after.  At 240, a matrix whose declared conductors have an lcm up to 240
+    # takes the single descent.
+    ref = Matrix(obj["rows"], obj["cols"], [wire.cyc_from_json(e) for e in obj["entries"]])
+    for cap in (None, 240, 60):
+        if cap and max(max(map(_declared, obj["entries"])), ref.conductor) > cap:
+            with pytest.raises(BudgetExceeded):
+                wire.matrix_from_json(obj, cap)
+            continue
+        m = wire.matrix_from_json(obj, cap)
+        assert m.den > 0
+        assert (m.conductor, m.num, m.den) == (ref.conductor, ref.num, ref.den)
+        assert m.entries == ref.entries
+        assert m == ref
+
+
+def test_matrix_cap_checks_keep_their_order(capsys):
+    # Entry 1 over the declared cap and entry 2 malformed: the cap answers first, exit 3.
+    over, bad = {"n": 241, "c": ["1"]}, {"n": 4, "c": ["x/y"]}
+    for entries, status, message in [
+            ([over, bad, "0", "1"], 3, "matrix entry: declared conductor 241 exceeds the cap of 240"),
+            ([bad, over, "0", "1"], 1, "matrix entry: bad fraction 'x/y'"),
+            ([wire.cyc_to_json(zeta(13)), "0", "0", wire.cyc_to_json(zeta(19))], 3,
+             "working conductor 247 exceeds the cap of 240")]:
+        g = {"rows": 2, "cols": 2, "entries": entries}
+        payload = json.dumps({"r": 2, "s": 3, "matrices": [g, g, g]})
+        assert cli.main(["check", "--input", payload]) == status
+        assert json.loads(capsys.readouterr().out)["message"] == message
+    # The cap holds on the least conductors: rationals declared at 239 and 233 decode.
+    g = {"rows": 1, "cols": 2, "entries": [{"n": 239, "c": ["1/2"]}, {"n": 233, "c": [[3, -4]]}]}
+    m = wire.matrix_from_json(g, 240)
+    assert (m.conductor, m.entries) == (1, (rational(F(1, 2)), rational(F(-3, 4))))
+
+
+# -- schema messages are built only on failure --------------------------------
+
+def eager_messages(source: str) -> list[str]:
+    # _require calls whose message is formatted before the check runs: an f-string, a
+    # .format call or a % expression among the arguments.
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_require"):
+            for arg in node.args[1:]:
+                if (isinstance(arg, ast.JoinedStr)
+                        or isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod)
+                        or isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+                        and arg.func.attr == "format"):
+                    found.append(f"line {node.lineno}")
+    return found
+
+
+def test_serialize_formats_messages_lazily():
+    assert eager_messages(Path(wire.__file__).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    '_require(ok, f"{what}: bad")', '_require(ok, "{}: bad".format(what))',
+    '_require(ok, "%s: bad" % what)'])
+def test_eager_message_scan_catches(snippet):
+    assert eager_messages(snippet)
+
+
+def test_eager_message_scan_allows_lazy_arguments():
+    assert eager_messages('_require(ok, "{}: bad {!r}", what, obj)') == []

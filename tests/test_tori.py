@@ -155,6 +155,11 @@ def test_enumerate_examples():
     assert enumerate_torsion(TorsionCoset.of(1, [[2]], [0]), 4) == {(0,), (2,)}
     c = TorsionCoset.of(2, [[1, 1]], [F(1, 4), F(1, 4)])
     assert enumerate_torsion(c, 2) == {(0, 1), (1, 0)}
+    # An axis past the rank takes all b values; a translate off the grid meets none.
+    assert enumerate_torsion(TorsionCoset.full_torus(2), 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert enumerate_torsion(TorsionCoset.of(2, [[1, 0]], [F(1, 3), 0]), 4) == set()
+    assert enumerate_torsion(TorsionCoset.of(2, [[2, 0]], [F(1, 4), 0]), 4) == {
+        (i, j) for i in (1, 3) for j in range(4)}
 
 
 def test_enumerate_budget():
