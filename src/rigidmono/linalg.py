@@ -9,11 +9,12 @@ rational integer pivots and so grow by one row's size per reduction, not by
 a factor, gives rank and kernel dimension and grows Burnside's span of words
 (``algebra_dim``).  One trace recursion (Faddeev-LeVerrier, which divides
 only by small integers) gives the characteristic polynomial and the inverse.
-Eigenvalues come from one exact rule: every root (rational) x (root of
-unity) in a degree-bounded cyclotomic extension of the entries' field, plus
-the roots of a quadratic remainder whose discriminant is such a number
-squared.  One search finds those roots modulo a small prime, lifted to a
-power of it (``_unit_roots``); only p's exact value accepts one.
+Eigenvalues come from one exact rule on the characteristic polynomial p
+alone: every root (rational) x (root of unity) in a degree-bounded cyclotomic
+extension of p's coefficient field, plus the roots of a quadratic remainder
+whose discriminant is such a number squared.  One search finds those roots
+modulo a small prime, lifted to a power of it (``_unit_roots``); only p's
+exact value accepts one.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _descend, _dot, _lift, _normalize, _prime_divisors, euler_phi,
-                         one, rational, sort_key, zero, zeta)
-from .errors import FieldMismatch, NotInvertible, ShapeError
+from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, euler_phi, one,
+                         rational, sort_key, zero, zeta)
+from .errors import NotInvertible, ShapeError
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,8 @@ class Polynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        """Evaluate at a CycNum or a square Matrix by Horner's rule."""
-        if isinstance(x, Matrix):
-            acc = Matrix.zeros(x.rows, x.cols)
-            for c in reversed(self.coeffs):
-                acc = x @ acc + Matrix.scalar(x.rows, c)
-            return acc
+    def __call__(self, x: CycNum) -> CycNum:
+        """Evaluate at x by Horner's rule."""
         acc = zero()
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -617,47 +613,37 @@ def _unit_roots(p: Polynomial, big_n: int):
 
 def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum, ...] | None:
     """The eigenvalue multiset when the characteristic polynomial splits over
-    the working field (the field generated by the entries, together with its
-    degree-bounded cyclotomic extensions); None otherwise.  ``poly``, when
-    given, is the characteristic polynomial of ``a``, already computed.
+    its own coefficient field together with that field's degree-bounded
+    cyclotomic extensions; None otherwise.  ``poly``, when given, is the
+    characteristic polynomial of ``a``, already computed.
 
-    The rule: deflate every root c u with c rational and u a root of unity in
-    the extension (see ``_unit_roots``); a quadratic remainder splits when its
-    discriminant is a rational square times such a root of unity; a linear
-    remainder always does.
+    The rule (``poly_roots_in_field``) reads the characteristic polynomial
+    alone, so every basis of a local system gets the same answer.  A scalar
+    matrix, the same in every basis, returns its diagonal without it.
 
     >>> eigenvalues_split(Matrix.from_rows([[1, 1], [0, 1]]))
     (CycNum(1), CycNum(1))
     """
     if not a.is_square():
         raise ShapeError("eigenvalues of a non-square matrix")
-    n = _descend(a.conductor, a.num)[0]
-    tri = _triangular_diagonal(a)
-    if tri is not None:
-        return tuple(sorted(tri, key=sort_key))
-    return poly_roots_in_field(charpoly(a) if poly is None else poly, n)
+    if a.is_scalar():
+        return (a.entries[0],) * a.rows
+    return poly_roots_in_field(charpoly(a) if poly is None else poly)
 
 
-def _triangular_diagonal(a: Matrix) -> list[CycNum] | None:
-    r, num = a.rows, a.num
-    below = any(any(num[i * r + j]) for i in range(r) for j in range(i))
-    above = any(any(num[j * r + i]) for i in range(r) for j in range(i))
-    return None if below and above else [a[i, i] for i in range(r)]
-
-
-def poly_roots_in_field(p: Polynomial, n: int) -> tuple[CycNum, ...] | None:
-    """All roots of p with multiplicity, over Q(zeta_n) together with its
-    degree-bounded cyclotomic extensions Q(zeta_L), by the rule of
-    ``eigenvalues_split``; None when p does not split that way.  Each root
-    c u that ``_unit_roots`` yields is deflated as often as it divides; the
-    root c u of y^2 - disc, found by the same search, splits a quadratic
-    remainder."""
+def poly_roots_in_field(p: Polynomial) -> tuple[CycNum, ...] | None:
+    """All roots of p with multiplicity, over p's coefficient field Q(zeta_n),
+    n the lcm of the coefficients' conductors, together with its
+    degree-bounded cyclotomic extensions Q(zeta_L); None when p does not split
+    that way.  The rule: deflate every root c u with c rational and u a root
+    of unity in Q(zeta_L) (see ``_unit_roots``) as often as it divides; a
+    quadratic remainder splits when its discriminant is the square of such a
+    c u, found by the same search on y^2 - disc; a linear remainder always
+    does."""
     if p.degree() < 1:
         return ()
-    big_n = _extension_conductor(n, p.degree())
+    big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots: list[CycNum] = []
-    if any(big_n % c.conductor for c in p.coeffs):
-        raise FieldMismatch(f"coefficients outside Q(zeta_{big_n})")
     for root in _unit_roots(p, big_n):
         while p.degree() > 1 and (rest := p.deflate(root)) is not None:
             roots.append(root)

@@ -5,15 +5,16 @@ serialized in the canonical order (conductor, then coordinates), making
 reports byte-stable.  Parsers are strict: unknown keys are rejected, and a
 failed check builds its message only then.  A ``conductor_cap`` is enforced
 before any field arithmetic: on each declared conductor as its entry is read;
-on the lcm of a matrix's declared conductors, within which its entries are
-lifted once to that lcm over one denominator and the matrix descends once, a
-prime at a time, to its least conductor (past it, or with no cap, each entry
-descends alone and the cap holds on their least conductors before any lift);
-then on the lcm of a tuple's matrices (or of all the eigenvalues of eigenvalue
-data) before they are multiplied.  A plain rational string, ``"p"`` or
-``"p/q"`` in ASCII digits, is read with ``int``; every other spelling goes
-through ``Fraction``.  Every integer a report writes as text passes
-:func:`int_text`, which refuses one past the interpreter's digit limit.
+on the lcm of a matrix's declared conductors, within which its entries,
+rational or not, are lifted once to that lcm over one denominator and the
+matrix descends once, a prime at a time, to its least conductor (past it, or
+with no cap, each entry descends alone and the cap holds on their least
+conductors before any lift); then on the lcm of a tuple's matrices (or of all
+the eigenvalues of eigenvalue data) before they are multiplied.  A plain
+rational string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``;
+every other spelling goes through ``Fraction``.  Every integer a report writes
+as text passes :func:`int_text`, which refuses one past the interpreter's
+digit limit.
 """
 from __future__ import annotations
 
@@ -189,9 +190,9 @@ def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
              "matrix: expected {} entries", rows * cols)
     parts = [_cyc_parts(v, "matrix entry", conductor_cap) for v in ent]
     n = math.lcm(*[k for k, _ in parts])
-    if n == 1 or conductor_cap is None or n > conductor_cap:
-        # Entry by entry: rationals as read; past the cap (or with none, n unbounded) the
-        # least conductors first, which the cap then bounds before any lift.
+    if conductor_cap is None or n > conductor_cap:
+        # Entry by entry: past the cap (or with none, n unbounded) the least
+        # conductors first, which the cap then bounds before any lift.
         ent = [_cyc(k, pairs) for k, pairs in parts]
         _enforce_conductor_cap(ent, conductor_cap)
         return Matrix(rows, cols, ent)

@@ -178,17 +178,10 @@ class TorsionCoset:
     def empty_set(cls, dim: int) -> TorsionCoset:
         return cls(dim, ((0,) * dim,), (0,) * dim, empty=True)
 
-    @classmethod
-    def full_torus(cls, dim: int) -> TorsionCoset:
-        return cls(dim, (), (0,) * dim)
-
     @property
     def translate(self) -> tuple[Fraction, ...]:
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
-
-    def is_empty(self) -> bool:
-        return self.empty
 
 
 def coset_membership(q, c: TorsionCoset) -> bool:
@@ -243,8 +236,7 @@ def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCose
     return _resolved(n, rows, _targets(c, c.den), c.den)
 
 
-def enumerate_torsion(c: TorsionCoset, order_bound: int,
-                      grid_budget: int = DEFAULT_GRID_BUDGET) -> set[tuple[int, ...]]:
+def enumerate_torsion(c: TorsionCoset, order_bound: int) -> set[tuple[int, ...]]:
     """All torsion points q of exponent dividing order_bound = b on the coset,
     each listed as its numerators b q mod b in [0, b) (the point is
     Fraction(x, b) coordinate-wise).  One Smith normal form S = U L V of the
@@ -253,13 +245,14 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int,
     the integer r_k = b (U t)_k, at b y_k = (r_k / g) (d_k / g)^-1 mod b / g
     plus any multiple of b / g: g values mod 1 (b when d_k = 0), or none.  So
     b q = V (b y) mod b, one point each, reached by stepping (b / g) V e_k mod
-    b along each axis.  ``grid_budget`` bounds the search space b^N, not the
-    work done (the Smith form plus the output)."""
+    b along each axis.  ``DEFAULT_GRID_BUDGET`` bounds the search space b^N,
+    not the work done (the Smith form plus the output)."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
     b, n = order_bound, c.dim
-    if b ** n > grid_budget:
-        raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of {grid_budget}")
+    if b ** n > DEFAULT_GRID_BUDGET:
+        raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of "
+                             f"{DEFAULT_GRID_BUDGET}")
     if c.empty:
         return set()
     rows = [list(r) for r in c.relations] or [[0] * n]   # no relations: the zero row

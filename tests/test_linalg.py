@@ -159,7 +159,10 @@ def test_cayley_hamilton():
     for n in (2, 3):
         for _ in range(20):
             a = Matrix(n, n, tuple(rng.choice(POOL) for _ in range(n * n)))
-            assert charpoly(a)(a) == Matrix.zeros(n, n)
+            acc = Matrix.zeros(n, n)  # p(A) by Horner's rule
+            for c in reversed(charpoly(a).coeffs):
+                acc = a @ acc + Matrix.scalar(n, c)
+            assert acc == Matrix.zeros(n, n)
 
 
 def test_charpoly_conjugation_invariant():
@@ -193,13 +196,10 @@ def test_eigenvalues_nontriangular():
 def test_roots_found_in_degree_bounded_extension():
     # x^2 + 1 over Q resolves to +-zeta_4: the roots generate a quadratic
     # cyclotomic extension, which the search covers.
-    expected = _sorted([zeta(4), -zeta(4)])
-    assert poly_roots_in_field(Polynomial.of([1, 0, 1]), 4) == expected
-    assert poly_roots_in_field(Polynomial.of([1, 0, 1]), 1) == expected
+    assert poly_roots_in_field(Polynomial.of([1, 0, 1])) == _sorted([zeta(4), -zeta(4)])
     # A unit root one extension step up from a conductor-12 field.
     z24 = zeta(24)
-    assert poly_roots_in_field(Polynomial.of([-zeta(12), 0, 1]), 12) == \
-        _sorted([z24, -z24])
+    assert poly_roots_in_field(Polynomial.of([-zeta(12), 0, 1])) == _sorted([z24, -z24])
 
 
 def test_eigenvalues_match_symmetric_functions():
@@ -267,7 +267,7 @@ def test_rank3_roots_outside_the_entry_field():
     z6 = zeta(6)
     expected = _sorted([rational(5), rational(2) * zeta(12), rational(-2) * zeta(12)])
     p = Polynomial.of([20 * z6, -4 * z6, -5, 1])
-    assert poly_roots_in_field(p, 3) == expected
+    assert poly_roots_in_field(p) == expected
     companion = M([[0, 0, -20 * z6], [1, 0, 4 * z6], [0, 1, 5]])
     assert eigenvalues_split(companion) == expected
 
@@ -465,19 +465,26 @@ def test_products_that_descend_match_the_oracle():
     assert charpoly(p) == Polynomial.of([1, -2, 1])
 
 
-def test_eigenvalues_read_the_field_of_the_entries(monkeypatch):
-    # A product stored at conductor 24 whose entries are rational: the working
-    # field is Q, the field the entries generate, not the stored Q(zeta_24).
+def test_eigenvalues_read_the_characteristic_polynomial_alone(monkeypatch):
+    # The rule sees nothing of the basis: neither the conductor 24 at which a
+    # product with rational entries is stored, nor the entries' field
+    # Q(zeta_5) after a conjugation by a matrix over it.  Each factor below
+    # has a rational characteristic polynomial, so the working field is Q.
     h = M([[2, 1], [1, 1]])
     d = M([[zeta(24), 0], [0, zeta(24, 5)]])
     p = (h @ d @ h.inverse()) @ (h @ M([[zeta(24, -1), 0], [0, zeta(24, 7)]]) @ h.inverse())
     assert p.conductor == 24 and all(e.conductor == 1 for e in p.entries)
-    fields = []
+    h5, a = M([[1, zeta(5)], [0, 1]]), M([[0, -1], [1, 0]])
+    b = h5 @ a @ h5.inverse()
+    assert b.conductor == 5
+    polys = []
     original = linalg.poly_roots_in_field
     monkeypatch.setattr(linalg, "poly_roots_in_field",
-                        lambda poly, n: fields.append(n) or original(poly, n))
+                        lambda poly: polys.append(poly) or original(poly))
     assert eigenvalues_split(p) == eigenvalues_split(Matrix(2, 2, p.entries))
-    assert fields == [1, 1]
+    assert eigenvalues_split(b) == eigenvalues_split(a) == _sorted([zeta(4), -zeta(4)])
+    assert polys == [charpoly(p)] * 2 + [charpoly(a)] * 2
+    assert all(c.conductor == 1 for poly in polys for c in poly.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +612,12 @@ def _oracle_unit_root(p, big_n):
     return None
 
 
-def _oracle_poly_roots(p, n):
+def _oracle_poly_roots(p):
     # poly_roots_in_field as it was: deflate one root c u at a time, then a
     # quadratic remainder by the unit square root of its discriminant.
     if p.degree() < 1:
         return ()
-    big_n = _extension_conductor(n, p.degree())
+    big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots = []
     while p.degree() > 1 and (root := _oracle_unit_root(p, big_n)) is not None:
         roots.append(root)
@@ -661,14 +668,13 @@ def _eigen_polys(draw):
                   "root": lambda: [-unit_multiple(True), zero(), one()],
                   "random": lambda: [entry(), entry(), one()]}[kind]()
         poly = _poly_mul(poly, factor)
-    return Polynomial.of(poly), n
+    return Polynomial.of(poly)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_eigen_polys())
-def test_eigenvalue_rule_matches_the_candidate_check_oracle(data):
-    p, n = data
-    assert poly_roots_in_field(p, n) == _oracle_poly_roots(p, n)
+def test_eigenvalue_rule_matches_the_candidate_check_oracle(p):
+    assert poly_roots_in_field(p) == _oracle_poly_roots(p)
 
 
 def test_p_is_evaluated_only_at_its_roots():
@@ -680,7 +686,7 @@ def test_p_is_evaluated_only_at_its_roots():
     evaluated, evaluate = [], Polynomial.__call__
     with mock.patch.object(Polynomial, "__call__",
                            lambda self, x: evaluated.append(x) or evaluate(self, x)):
-        roots = poly_roots_in_field(p, 4)
+        roots = poly_roots_in_field(p)
     assert roots == _sorted([zeta(12, 7), zeta(12, 11)])
     assert len(evaluated) == 1 and evaluated[0] in roots
 
@@ -692,8 +698,8 @@ def test_a_candidate_needs_the_exact_check():
     # only p's exact value rejects them, here and for the discriminant 4a.
     a = 1 + 2 * 13 ** 40
     assert linalg._prime_and_root(_extension_conductor(1, 2), 1)[0] == 13
-    assert poly_roots_in_field(Polynomial.of([-a, 0, 1]), 1) is None
-    assert poly_roots_in_field(Polynomial.of([-a * a, 0, 1]), 1) == _sorted(
+    assert poly_roots_in_field(Polynomial.of([-a, 0, 1])) is None
+    assert poly_roots_in_field(Polynomial.of([-a * a, 0, 1])) == _sorted(
         [rational(a), rational(-a)])
 
 
@@ -722,7 +728,9 @@ def _from_roots(roots):
     ([1 + zeta(4), 1 + zeta(4), rational(1)], 4),
 ])
 def test_roots_past_a_prime_that_merges_them(roots, n):
-    assert poly_roots_in_field(_from_roots(roots), n) == _sorted(roots)
+    p = _from_roots(roots)  # over Q(zeta_n), n the lcm of its coefficients' conductors
+    assert math.lcm(*(c.conductor for c in p.coeffs)) == n
+    assert poly_roots_in_field(p) == _sorted(roots)
 
 
 @pytest.mark.parametrize("q, count", [(13, 200), (241, 100), (2161, 30), (143401, 3)])
@@ -760,7 +768,7 @@ def test_conjugated_jordan_block_has_its_double_root():
     with mock.patch.object(linalg, "_prime_and_root", counted):
         assert eigenvalues_split(a) == (lam, lam)
     assert primes == [1]
-    assert poly_roots_in_field(charpoly(a), 8) == (lam, lam)
+    assert poly_roots_in_field(charpoly(a)) == (lam, lam)
 
 
 @pytest.mark.parametrize("degree, big_n, below", [(2, 12, 4 * 10 ** 4), (4, 120, 28 * 10 ** 4)])
@@ -779,5 +787,5 @@ def test_a_discriminant_of_many_primes_costs_few_of_them(degree, big_n, below):
         calls.append(least)
         return search(n, least)
     with mock.patch.object(linalg, "_prime_and_root", counted):
-        assert poly_roots_in_field(_from_roots(roots), 1) == _sorted(roots)
+        assert poly_roots_in_field(_from_roots(roots)) == _sorted(roots)
     assert len(calls) <= 2 + math.log2(below / primes[0])

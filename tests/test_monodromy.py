@@ -227,12 +227,24 @@ def test_det_product_is_one():
         assert prod == one()
 
 
+def _triangular_tuple():
+    # Upper triangular factors with the eigenvalues 1 + i, 2 + 2i and 1 - i,
+    # which are not (rational) x (root of unity): the diagonal shows them, but
+    # the characteristic polynomials do not split by the rule, in any basis.
+    i = zeta(4)
+    g1, g2 = M([[1 + i, 1], [0, 2 + 2 * i]]), M([[3, 1], [0, 1 - i]])
+    return MonodromyTuple.of([g1, g2, (g1 @ g2).inverse()])
+
+
 def test_conjugation_invariance():
     rng = random.Random(12)
     h = M([[1, 2], [1, 3]])
-    for _ in range(25):
-        t = random_tuple(rng, rng.choice([3, 4]))
-        tc = t.conjugated(h)
+    cases = [(random_tuple(rng, rng.choice([3, 4])), h) for _ in range(25)]
+    # Over Q(zeta_5) the conjugator grows the entries' field, not the
+    # characteristic polynomials' field.
+    cases += [(_triangular_tuple(), h), (_triangular_tuple(), M([[1, zeta(5)], [0, 1]]))]
+    for t, g in cases:
+        tc = t.conjugated(g)
         assert katz_report(t).verdict == katz_report(tc).verdict
         assert mon(t).charpolys == mon(tc).charpolys
         assert mon(t).eigen == mon(tc).eigen

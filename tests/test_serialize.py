@@ -126,7 +126,7 @@ def test_coset_roundtrip():
     assert wire.coset_from_json(wire.coset_to_json(c)) == c
     empty = TorsionCoset.empty_set(2)
     back = wire.coset_from_json(wire.coset_to_json(empty))
-    assert back.is_empty()
+    assert back.empty
 
 
 def test_formula_roundtrip():

@@ -108,7 +108,7 @@ def test_intersect_inconsistent_is_empty():
     a = TorsionCoset.of(2, [[1, 1]], [0, 0])
     b = TorsionCoset.of(2, [[1, 1]], [F(1, 4), F(1, 4)])
     out = coset_intersect(a, b)
-    assert out.is_empty()
+    assert out.empty
     assert enumerate_torsion(out, 8) == set()
     assert not coset_membership([0, 0], out)
 
@@ -156,7 +156,7 @@ def test_enumerate_examples():
     c = TorsionCoset.of(2, [[1, 1]], [F(1, 4), F(1, 4)])
     assert enumerate_torsion(c, 2) == {(0, 1), (1, 0)}
     # An axis past the rank takes all b values; a translate off the grid meets none.
-    assert enumerate_torsion(TorsionCoset.full_torus(2), 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert enumerate_torsion(TorsionCoset(2, (), (0, 0)), 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert enumerate_torsion(TorsionCoset.of(2, [[1, 0]], [F(1, 3), 0]), 4) == set()
     assert enumerate_torsion(TorsionCoset.of(2, [[2, 0]], [F(1, 4), 0]), 4) == {
         (i, j) for i in (1, 3) for j in range(4)}
@@ -164,7 +164,7 @@ def test_enumerate_examples():
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
-        enumerate_torsion(TorsionCoset.full_torus(6), 24, grid_budget=1000)
+        enumerate_torsion(TorsionCoset(6, (), (0,) * 6), 24)  # 24^6 > DEFAULT_GRID_BUDGET
 
 
 def test_preimage_examples():
@@ -173,7 +173,7 @@ def test_preimage_examples():
     doubled = monomial_preimage(w1, [[2]])
     assert enumerate_torsion(doubled, 4) == {(0,), (2,)}
     empty = monomial_preimage(TorsionCoset.of(1, [[1]], [F(1, 2)]), [[0]])
-    assert empty.is_empty()
+    assert empty.empty
 
 
 def test_preimage_unimodular_point():

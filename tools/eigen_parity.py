@@ -8,11 +8,12 @@ integer matrix, with 1 x 1 blocks c zeta_n^k (c rational) and 2 x 2 blocks
 x^2 - a, where a is either c^2 zeta_n^k, so the roots lie in the degree-bounded
 extension, or a random entry.  So split, extension and non-split
 characteristic polynomials all occur.  The characteristic polynomials are
-computed first; then ``linalg.poly_roots_in_field(p, n)`` runs on each, n the
-lcm of the entries' conductors, with its wall time summed per rank.  One
-SHA-256 over the outputs is printed, so two checkouts print equal hashes
-exactly when the rule answers every factor alike.  Run it once per checkout
-to compare them, hashes and per-rank times alike:
+computed first; then ``linalg.poly_roots_in_field(p)`` runs on each, with
+its wall time summed per rank.  One SHA-256 over the outputs is printed, so
+two checkouts print equal hashes exactly when the rule answers every factor
+alike.  Run it once per checkout to compare them, hashes and per-rank times
+alike; a checkout whose ``poly_roots_in_field`` still takes the entries'
+conductor as a second argument is compared with its own copy of this tool:
 
     python tools/eigen_parity.py --seed 1
     python tools/eigen_parity.py --root ../other-checkout --seed 1
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import random
 import sys
 import time
@@ -74,12 +74,11 @@ def main() -> int:
     for r, conductors, count in STRATA:
         for n in conductors:
             for _ in range(count):
-                a = factor(n, r)
-                polys[r].append((charpoly(a), math.lcm(*(e.conductor for e in a.entries))))
+                polys[r].append(charpoly(factor(n, r)))
     digest = hashlib.sha256()
     for r, items in polys.items():
         split, t0 = 0, time.perf_counter()
-        outs = [poly_roots_in_field(poly, n) for poly, n in items]
+        outs = [poly_roots_in_field(poly) for poly in items]
         elapsed = time.perf_counter() - t0
         for out in outs:
             split += out is not None
