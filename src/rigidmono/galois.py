@@ -60,8 +60,8 @@ def absolute_point_test(t: MonodromyTuple) -> AbsoluteVerdict:
     """Rank-2 torsion verdict.
 
     is_rigid comes from the three-non-scalar classification, det_torsion and
-    mon_torsion from exact root-of-unity detection.  A tuple whose local
-    eigenvalues do not split over the working field is indeterminate.
+    mon_torsion from exact root-of-unity detection.  A tuple whose ``mon``
+    has no eigenvalue data is indeterminate, before rigidity or determinants.
     """
     if t.rank != 2:
         raise ShapeError("absolute point test implemented for rank 2")

@@ -14,12 +14,13 @@ alone: every root (rational) x (root of unity) in a degree-bounded cyclotomic
 extension of p's coefficient field, plus the roots of a quadratic remainder
 whose discriminant is such a number squared.  One search finds those roots
 modulo a small prime, lifted to a power of it (``_unit_roots``); only p's
-exact value accepts one.
+exact value accepts one, and too few roots mod q refuse p before any lift.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
 only drop under it, so a full rank or a full span mod p is a proof; any other
-outcome leaves the answer to the exact echelon.
+outcome leaves the answer to the exact echelon.  Too few roots mod q are the
+third such proof, and the root search's candidates the fourth modular path.
 """
 from __future__ import annotations
 
@@ -562,7 +563,8 @@ def _monic(p: Polynomial) -> Polynomial:
 
 
 def _unit_roots(p: Polynomial, big_n: int):
-    """Yield each root c u of p once, with c rational and u^big_n = 1 (big_n even).
+    """Yield each root c u of p once, with c rational and u^big_n = 1 (big_n even),
+    or None alone when too few roots mod q prove p has one outside Q(zeta_big_n).
 
     With p monic and D the lcm of its denominators, g(y) = D^d p(y / D) is
     integral and has the roots k u, k = D c an integer with |k| <= K
@@ -577,7 +579,9 @@ def _unit_roots(p: Polynomial, big_n: int):
     above 2q.  A squarefree p fails only at primes that divide the norm of its
     discriminant; a product of k primes that each double the last exceeds
     2^(k(k - 1) / 2), so at most about sqrt(2 log2 |norm|) of them fail, and
-    q stays near 2^k times the first.
+    q stays near 2^k times the first.  Were all roots of p in Q(zeta_big_n),
+    those of g would lie in Z[zeta_big_n], and g mod q would be a product of
+    d linear factors: fewer than d roots mod q, none repeated, refuse p.
     """
     p, squarefree, (q, w) = _monic(p), False, _prime_and_root(big_n, 1)
     while True:
@@ -599,6 +603,9 @@ def _unit_roots(p: Polynomial, big_n: int):
             while b:
                 a, b = b, Polynomial.of(_divmod(a, b)[1]).coeffs
             p, squarefree = _monic(Polynomial(tuple(_divmod(p.coeffs, a)[0]))), True
+    if len(roots) < d:
+        yield None
+        return
     for x in roots:
         rho = _hensel(g, x, q, m)
         for j in range(big_n // 2):
@@ -639,12 +646,15 @@ def poly_roots_in_field(p: Polynomial) -> tuple[CycNum, ...] | None:
     of unity in Q(zeta_L) (see ``_unit_roots``) as often as it divides; a
     quadratic remainder splits when its discriminant is the square of such a
     c u, found by the same search on y^2 - disc; a linear remainder always
-    does."""
+    does.  Every root it accepts lies in Q(zeta_L), so too few roots mod q
+    return None before any lift, discriminant or second search."""
     if p.degree() < 1:
         return ()
     big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots: list[CycNum] = []
     for root in _unit_roots(p, big_n):
+        if root is None:
+            return None
         while p.degree() > 1 and (rest := p.deflate(root)) is not None:
             roots.append(root)
             p = rest

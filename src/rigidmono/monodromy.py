@@ -184,8 +184,8 @@ def is_irreducible(t: MonodromyTuple) -> bool:
 def common_eigenvector_exists(t: MonodromyTuple) -> bool | None:
     """Rank-2 cross-check: whether the matrices share an eigenvector.
 
-    Returns None when some factor's eigenvalues do not split over the working
-    field; in that case the Burnside test remains authoritative.
+    Returns None when the first non-scalar factor's eigenvalues do not
+    split; in that case the Burnside test remains authoritative.
     """
     if t.rank != 2:
         raise ShapeError("common-eigenvector search implemented for rank 2")
@@ -252,13 +252,15 @@ class MonData:
 
 def mon(t: MonodromyTuple) -> MonData:
     """Per-puncture characteristic polynomials of the local monodromy, plus
-    the eigenvalue data when every factor splits over the working field."""
+    the eigenvalue data when every factor splits (``eigenvalues_split``),
+    searched in order up to the first that does not."""
     polys = tuple(charpoly(g) for g in t.matrices)
-    evs = [eigenvalues_split(g, p) for g, p in zip(t.matrices, polys)]
-    eigen = None
-    if all(e is not None for e in evs):
-        eigen = EigenData.of(evs)
-    return MonData(polys, eigen)
+    evs = []
+    for g, p in zip(t.matrices, polys):
+        if (ev := eigenvalues_split(g, p)) is None:
+            return MonData(polys, None)
+        evs.append(ev)
+    return MonData(polys, EigenData.of(evs))
 
 
 def det_data(t: MonodromyTuple) -> tuple[CycNum, ...]:

@@ -17,6 +17,16 @@ from rigidmono.cli import main
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
 
 
+def _unsplit_tuple():
+    # g1 has x^2 - 2, and 2 is not a square mod 13, the root search's prime:
+    # the first factor does not split.
+    g1, g2 = Matrix.from_rows([[0, 2], [1, 0]]), Matrix.from_rows([[1, 1], [0, 1]])
+    return MonodromyTuple.of([g1, g2, (g1 @ g2).inverse()])
+
+
+UNSPLIT_JSON = json.dumps(wire.tuple_to_json(_unsplit_tuple()))
+
+
 def _count_calls(monkeypatch, name):
     original = getattr(monodromy, name)
     calls = []
@@ -94,6 +104,29 @@ def test_mon_computes_each_charpoly_once(monkeypatch, capsys):
     charpolys = _count_calls(monkeypatch, "charpoly")
     _run(capsys, "mon", "--input", LEGENDRE_JSON)
     assert len(charpolys) == 3
+
+
+def test_mon_stops_at_the_first_unsplit_factor(monkeypatch, capsys):
+    # The report has no eigenvalue data once one factor does not split, so
+    # the later factors are not searched; their charpolys are still listed.
+    splits = _count_calls(monkeypatch, "eigenvalues_split")
+    charpolys = _count_calls(monkeypatch, "charpoly")
+    assert main(["mon", "--input", UNSPLIT_JSON]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["eigen"] is None and len(rep["charpolys"]) == 3
+    assert len(splits) == 1 and len(charpolys) == 3
+
+
+def test_orbit_on_an_unsplit_tuple_stops_before_burnside(monkeypatch, capsys):
+    # absolute_point_test raises at the missing eigenvalue data, before it
+    # needs the rigidity verdict or the determinants.
+    burnside = _count_calls(monkeypatch, "is_irreducible")
+    dets = _count_dets(monkeypatch)
+    assert main(["orbit", "--input", UNSPLIT_JSON]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "indeterminate",
+        "message": "local eigenvalues do not split over the working field"}
+    assert burnside == [] and dets == []
 
 
 def test_check_and_orbit_invert_no_matrix(monkeypatch, capsys):

@@ -703,6 +703,58 @@ def test_a_candidate_needs_the_exact_check():
         [rational(a), rational(-a)])
 
 
+def test_too_few_roots_mod_q_refuse_before_any_lift():
+    # L = 12 and q = 13 over Q at degrees 2 and 3.  Were the roots of x^2 - 2
+    # in Q(zeta_12), it would have two roots mod 13, and (x - 1)(x^2 - 2)
+    # three; 2 is not a square mod 13, so each search stops at once, with no
+    # lift, no exact evaluation and no second search on a discriminant.  3 is
+    # a square mod 13, so the roots of x^2 - 3 are lifted, and the exact
+    # search refuses them: sqrt 3 is no c u, nor is sqrt 12, the root of its
+    # discriminant.
+    assert {linalg._prime_and_root(_extension_conductor(1, d), 1)[0] for d in (2, 3)} == {13}
+    lifts, evaluated, searches = [], [], []
+    hensel, evaluate, simple = linalg._hensel, Polynomial.__call__, linalg._simple_roots
+    with mock.patch.object(linalg, "_hensel", lambda *a: lifts.append(a) or hensel(*a)), \
+            mock.patch.object(linalg, "_simple_roots",
+                              lambda *a: searches.append(a) or simple(*a)), \
+            mock.patch.object(Polynomial, "__call__",
+                              lambda self, x: evaluated.append(x) or evaluate(self, x)):
+        for coeffs in ([-2, 0, 1], [2, -2, -1, 1]):
+            searches.clear()
+            assert poly_roots_in_field(Polynomial.of(coeffs)) is None
+            assert len(searches) == 1
+        assert lifts == [] and evaluated == []
+        assert poly_roots_in_field(Polynomial.of([-3, 0, 1])) is None
+    assert len(lifts) == 4
+
+
+@st.composite
+def _split_polys(draw):
+    # (p, roots): p of degree 2 to 4 over Q(zeta_n), n = 1..60, a product of
+    # factors y - c zeta_n^k and y^2 - c^2 zeta_n^k, whose roots +-c zeta_2n^k
+    # lie in the degree-bounded extension, so the rule splits p.
+    n, r = draw(st.integers(1, 60)), draw(st.integers(2, 4))
+    cs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    poly, roots = [one()], []
+    while len(roots) < r:
+        c, k = draw(cs), draw(st.integers(0, n - 1))
+        if len(roots) + 2 <= r and draw(st.booleans()):
+            poly = _poly_mul(poly, [-rational(c * c) * zeta(n, k), zero(), one()])
+            roots += [rational(c) * zeta(2 * n, k), rational(-c) * zeta(2 * n, k)]
+        else:
+            poly = _poly_mul(poly, [-rational(c) * zeta(n, k), one()])
+            roots.append(rational(c) * zeta(n, k))
+    return Polynomial.of(poly), roots
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_split_polys())
+def test_the_mod_q_refusal_never_meets_a_split_polynomial(case):
+    # Too few roots mod q refuse p at once; a split p must keep all its roots.
+    p, roots = case
+    assert poly_roots_in_field(p) == _sorted(roots)
+
+
 def _from_roots(roots):
     poly = [one()]
     for r in roots:

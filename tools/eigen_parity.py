@@ -8,12 +8,14 @@ integer matrix, with 1 x 1 blocks c zeta_n^k (c rational) and 2 x 2 blocks
 x^2 - a, where a is either c^2 zeta_n^k, so the roots lie in the degree-bounded
 extension, or a random entry.  So split, extension and non-split
 characteristic polynomials all occur.  The characteristic polynomials are
-computed first; then ``linalg.poly_roots_in_field(p)`` runs on each, with
-its wall time summed per rank.  One SHA-256 over the outputs is printed, so
-two checkouts print equal hashes exactly when the rule answers every factor
-alike.  Run it once per checkout to compare them, hashes and per-rank times
-alike; a checkout whose ``poly_roots_in_field`` still takes the entries'
-conductor as a second argument is compared with its own copy of this tool:
+computed first; then ``linalg.poly_roots_in_field(p)`` runs on each, timed
+alone.  Per rank it prints the count and summed wall time of the factors
+that split and of those that do not, so a refusal that comes early shows in
+the second.  One SHA-256 over the outputs is printed, so two checkouts print
+equal hashes exactly when the rule answers every factor alike.  Run it once
+per checkout to compare them, hashes and per-rank times alike; a checkout
+whose ``poly_roots_in_field`` still takes the entries' conductor as a second
+argument is compared with its own copy of this tool:
 
     python tools/eigen_parity.py --seed 1
     python tools/eigen_parity.py --root ../other-checkout --seed 1
@@ -77,13 +79,16 @@ def main() -> int:
                 polys[r].append(charpoly(factor(n, r)))
     digest = hashlib.sha256()
     for r, items in polys.items():
-        split, t0 = 0, time.perf_counter()
-        outs = [poly_roots_in_field(poly) for poly in items]
-        elapsed = time.perf_counter() - t0
-        for out in outs:
-            split += out is not None
+        count, seconds = {True: 0, False: 0}, {True: 0.0, False: 0.0}
+        for poly in items:
+            t0 = time.perf_counter()
+            out = poly_roots_in_field(poly)
+            elapsed = time.perf_counter() - t0
+            count[out is not None] += 1
+            seconds[out is not None] += elapsed
             digest.update(repr(out).encode() + b"\n")
-        print(f"rank {r}  {len(items)} factors  {split} split  {elapsed:.3f} s")
+        print(f"rank {r}  {len(items)} factors  {count[True]} split {seconds[True]:.3f} s  "
+              f"{count[False]} unsplit {seconds[False]:.3f} s")
     print(f"seed {args.seed}  sha256 {digest.hexdigest()}")
     return 0
 
