@@ -12,9 +12,13 @@ only by small integers) gives the characteristic polynomial and the inverse.
 Eigenvalues come from one exact rule on the characteristic polynomial p
 alone: every root (rational) x (root of unity) in a degree-bounded cyclotomic
 extension of p's coefficient field, plus the roots of a quadratic remainder
-whose discriminant is such a number squared.  One search finds those roots
-modulo a small prime, lifted to a power of it (``_unit_roots``); only p's
-exact value accepts one, and too few roots mod q refuse p before any lift.
+whose discriminant is such a number squared.  A quadratic over Q evaluates
+the rule by its integer discriminant (rank 2 over Q, where the rule's roots
+of unity have order 1, 2, 3, 4 or 6).  Every other p, and any quadratic whose
+proposed roots p rejects, goes to one search that finds the roots modulo a
+small prime, lifted to a power of it (``_unit_roots``).  On either path only
+p's exact value accepts a root, and too few roots mod q refuse p before any
+lift.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, _dot, _lift, _normalize, _prime_divisors, euler_phi, one,
-                         rational, sort_key, zero, zeta)
+from .cyclotomic import (CycNum, _dot, _lift, _lowest_terms, _normalize, _prime_divisors,
+                         euler_phi, one, rational, sort_key, zero, zeta)
 from .errors import NotInvertible, ShapeError
 
 
@@ -55,9 +59,9 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: CycNum) -> CycNum:
-        """Evaluate at x by Horner's rule."""
-        acc = zero()
-        for c in reversed(self.coeffs):
+        """Evaluate at x by Horner's rule, from the leading coefficient."""
+        *rest, acc = self.coeffs or (zero(),)
+        for c in reversed(rest):
             acc = acc * x + c
         return acc
 
@@ -645,11 +649,53 @@ def poly_roots_in_field(p: Polynomial) -> tuple[CycNum, ...] | None:
     that way.  The rule: deflate every root c u with c rational and u a root
     of unity in Q(zeta_L) (see ``_unit_roots``) as often as it divides; a
     quadratic remainder splits when its discriminant is the square of such a
-    c u, found by the same search on y^2 - disc; a linear remainder always
-    does.  Every root it accepts lies in Q(zeta_L), so too few roots mod q
-    return None before any lift, discriminant or second search."""
+    c u; a linear remainder always does.
+
+    A rational quadratic evaluates the rule by its integer discriminant
+    (``_rational_quadratic``); only p's exact value accepts the two roots it
+    proposes, and any rejection leaves p to the search (``_search_roots``),
+    which serves every other p."""
     if p.degree() < 1:
         return ()
+    if p.degree() == 2 and all(c.conductor == 1 for c in p.coeffs):
+        disc, roots = _rational_quadratic(p)
+        if roots is None:
+            return None
+        r, s = roots
+        # Two distinct roots of a quadratic are all of them; a double one needs disc = 0.
+        if not p(r) and not p(s) and (r != s or not disc):
+            return tuple(sorted(roots, key=sort_key))
+    return _search_roots(p)
+
+
+def _rational_quadratic(p: Polynomial) -> tuple[int, tuple[CycNum, CycNum] | None]:
+    # The rule on a x^2 + b x + c over Q, scaled to integers with a > 0, and
+    # D = b^2 - 4 a c: its roots c u have u^12 = 1, and only u = +-1, +-i and
+    # zeta_3^(+-1) up to sign have degree <= 2.  So p splits exactly when D is
+    # a square (rational roots), -D is a square (roots in Q(i), reached by the
+    # discriminant's root c i), or b != 0 and a c = b^2 (roots (b / a) zeta_3^(+-1)).
+    # Returns (D, the two roots), or (D, None) when p does not split.
+    scale = math.lcm(*(z.den for z in p.coeffs))
+    c, b, a = (z.num[0] * (scale // z.den) for z in p.coeffs)
+    if a < 0:
+        a, b, c = -a, -b, -c
+    disc = b * b - 4 * a * c
+    s = math.isqrt(abs(disc))
+    if s * s == disc:
+        return disc, (_lowest_terms(1, [s - b], 2 * a), _lowest_terms(1, [-s - b], 2 * a))
+    if s * s == -disc:
+        return disc, (_lowest_terms(4, [-b, s], 2 * a), _lowest_terms(4, [-b, -s], 2 * a))
+    if b and a * c == b * b:
+        return disc, (zeta(3, 1)._scale(b, a), zeta(3, 2)._scale(b, a))
+    return disc, None
+
+
+def _search_roots(p: Polynomial) -> tuple[CycNum, ...] | None:
+    """``poly_roots_in_field`` for p of degree >= 1 by the modular root search
+    alone: every root c u found by ``_unit_roots`` and deflated as often as it
+    divides, then a quadratic remainder by the same search on y^2 - disc.
+    Every root it accepts lies in Q(zeta_L), so too few roots mod q return
+    None before any lift, discriminant or second search."""
     big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots: list[CycNum] = []
     for root in _unit_roots(p, big_n):

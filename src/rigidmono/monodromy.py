@@ -246,21 +246,31 @@ def rank2_classify(t: MonodromyTuple) -> Rank2Classification:
 
 @dataclass(frozen=True)
 class MonData:
-    charpolys: tuple[Polynomial, ...]
+    """The eigenvalue data, None when a factor does not split, and every
+    factor's characteristic polynomial.  ``mon`` computes the polynomials of
+    the factors it searched; the others, past the first unsplit factor, are
+    computed when ``charpolys`` is first read."""
+
     eigen: EigenData | None
+    _searched: tuple[Polynomial, ...]
+    _rest: tuple[Matrix, ...] = ()
+
+    @cached_property
+    def charpolys(self) -> tuple[Polynomial, ...]:
+        return self._searched + tuple(charpoly(g) for g in self._rest)
 
 
 def mon(t: MonodromyTuple) -> MonData:
     """Per-puncture characteristic polynomials of the local monodromy, plus
     the eigenvalue data when every factor splits (``eigenvalues_split``),
     searched in order up to the first that does not."""
-    polys = tuple(charpoly(g) for g in t.matrices)
-    evs = []
-    for g, p in zip(t.matrices, polys):
+    polys, evs = [], []
+    for i, g in enumerate(t.matrices):
+        polys.append(p := charpoly(g))
         if (ev := eigenvalues_split(g, p)) is None:
-            return MonData(polys, None)
+            return MonData(None, tuple(polys), t.matrices[i + 1:])
         evs.append(ev)
-    return MonData(polys, EigenData.of(evs))
+    return MonData(EigenData.of(evs), tuple(polys))
 
 
 def det_data(t: MonodromyTuple) -> tuple[CycNum, ...]:

@@ -18,8 +18,8 @@ LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
 
 
 def _unsplit_tuple():
-    # g1 has x^2 - 2, and 2 is not a square mod 13, the root search's prime:
-    # the first factor does not split.
+    # g1 has x^2 - 2, whose discriminant 8 is neither a square nor minus one,
+    # and whose x coefficient is 0: the first factor does not split.
     g1, g2 = Matrix.from_rows([[0, 2], [1, 0]]), Matrix.from_rows([[1, 1], [0, 1]])
     return MonodromyTuple.of([g1, g2, (g1 @ g2).inverse()])
 
@@ -119,14 +119,16 @@ def test_mon_stops_at_the_first_unsplit_factor(monkeypatch, capsys):
 
 def test_orbit_on_an_unsplit_tuple_stops_before_burnside(monkeypatch, capsys):
     # absolute_point_test raises at the missing eigenvalue data, before it
-    # needs the rigidity verdict or the determinants.
+    # needs the rigidity verdict or the determinants; the indeterminate report
+    # lists no characteristic polynomial, so only the one searched is computed.
     burnside = _count_calls(monkeypatch, "is_irreducible")
+    charpolys = _count_calls(monkeypatch, "charpoly")
     dets = _count_dets(monkeypatch)
     assert main(["orbit", "--input", UNSPLIT_JSON]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "error": "indeterminate",
         "message": "local eigenvalues do not split over the working field"}
-    assert burnside == [] and dets == []
+    assert burnside == [] and dets == [] and len(charpolys) == 1
 
 
 def test_check_and_orbit_invert_no_matrix(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, 
                        rank_and_kernel_dim, rational, sort_key, zero, zeta)
 from rigidmono.cyclotomic import _prime_divisors, euler_phi, unit_exp, unit_log
 from rigidmono.errors import NotInvertible, ShapeError
-from rigidmono.linalg import _extension_conductor, algebra_dim, poly_roots_in_field
+from rigidmono.linalg import (_extension_conductor, _search_roots, algebra_dim,
+                              poly_roots_in_field)
 from rigidmono.monodromy import centralizer_dim
 
 M = Matrix.from_rows
@@ -698,8 +700,8 @@ def test_a_candidate_needs_the_exact_check():
     # only p's exact value rejects them, here and for the discriminant 4a.
     a = 1 + 2 * 13 ** 40
     assert linalg._prime_and_root(_extension_conductor(1, 2), 1)[0] == 13
-    assert poly_roots_in_field(Polynomial.of([-a, 0, 1])) is None
-    assert poly_roots_in_field(Polynomial.of([-a * a, 0, 1])) == _sorted(
+    assert _search_roots(Polynomial.of([-a, 0, 1])) is None
+    assert _search_roots(Polynomial.of([-a * a, 0, 1])) == _sorted(
         [rational(a), rational(-a)])
 
 
@@ -721,11 +723,90 @@ def test_too_few_roots_mod_q_refuse_before_any_lift():
                               lambda self, x: evaluated.append(x) or evaluate(self, x)):
         for coeffs in ([-2, 0, 1], [2, -2, -1, 1]):
             searches.clear()
-            assert poly_roots_in_field(Polynomial.of(coeffs)) is None
+            assert _search_roots(Polynomial.of(coeffs)) is None
             assert len(searches) == 1
         assert lifts == [] and evaluated == []
-        assert poly_roots_in_field(Polynomial.of([-3, 0, 1])) is None
+        assert _search_roots(Polynomial.of([-3, 0, 1])) is None
     assert len(lifts) == 4
+
+
+@contextlib.contextmanager
+def _search_steps():
+    # Record each _simple_roots ("search"), _hensel ("lift") and
+    # Polynomial.__call__ ("eval") call, in order.
+    steps = []
+    simple, hensel, evaluate = linalg._simple_roots, linalg._hensel, Polynomial.__call__
+    with mock.patch.object(linalg, "_simple_roots",
+                           lambda *a: steps.append("search") or simple(*a)), \
+            mock.patch.object(linalg, "_hensel", lambda *a: steps.append("lift") or hensel(*a)), \
+            mock.patch.object(Polynomial, "__call__",
+                              lambda self, x: steps.append("eval") or evaluate(self, x)):
+        yield steps
+
+
+TRAP = 1 + 2 * 13 ** 40  # see test_a_candidate_needs_the_exact_check
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([6, -5, 1], [rational(2), rational(3)]),
+    ([Fraction(-3, 2), Fraction(-5, 4), -1], None),
+    ([-12, 10, -2], [rational(2), rational(3)]),
+    ([0, Fraction(3, 5), 3], [rational(0), rational(Fraction(-1, 5))]),
+    ([9, -6, 1], [rational(3), rational(3)]),
+    ([4, -4, 2], [1 + zeta(4), 1 - zeta(4)]),
+    ([4, 0, 1], [rational(2) * zeta(4), rational(-2) * zeta(4)]),
+    ([Fraction(4, 9), Fraction(-2, 3), 1], [rational(Fraction(-2, 3)) * zeta(3),
+                                            rational(Fraction(-2, 3)) * zeta(3, 2)]),
+    ([7, 1, 1], None),
+    ([3, 0, 1], None),
+    ([10 ** 11 + 1, 2 * 10 ** 5 + 2, 1], None),
+    # The quadratics of the two search tests above.
+    ([-2, 0, 1], None),
+    ([-3, 0, 1], None),
+    ([-TRAP, 0, 1], None),
+    ([-TRAP * TRAP, 0, 1], [rational(TRAP), rational(-TRAP)]),
+])
+def test_a_rational_quadratic_costs_two_evaluations_and_no_search(coeffs, roots):
+    # Over Q the discriminant decides the rule, by math.isqrt: a split
+    # quadratic has each of its two roots checked once by p's exact value and
+    # runs no modular search or lift, so no 13-adic trap; an unsplit one runs
+    # nothing at all, whatever its constant is mod 13.
+    with _search_steps() as steps:
+        got = poly_roots_in_field(Polynomial.of(coeffs))
+    assert got == (None if roots is None else _sorted(roots))
+    assert steps == ([] if roots is None else ["eval", "eval"])
+
+
+@st.composite
+def _rational_quadratics(draw):
+    # a (x^2 - s x + t) over Q with a of either sign: s and t from the roots
+    # of one split family (x and y; x +- y i; x zeta_3^(+-1)), at random, or
+    # heavy: norms near 10^11 as in the rational benchmark tuples, and the
+    # 13-adic trap.  A zero root and a double root are drawn often.
+    q = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+    a = draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4)))
+    kind = draw(st.sampled_from(("rational", "gaussian", "zeta3", "random", "heavy")))
+    x = draw(q)
+    y = x if draw(st.integers(0, 3)) == 0 else draw(q)
+    if kind == "rational":
+        s, t = x + y, x * y
+    elif kind == "gaussian":
+        s, t = 2 * x, x * x + y * y
+    elif kind == "zeta3":
+        s, t = -x, x * x
+    elif kind == "random":
+        s, t = x, y
+    else:
+        big = draw(st.sampled_from((TRAP, 10 ** 11 + 3))) + draw(st.integers(0, 10 ** 6))
+        s, t = draw(st.sampled_from(((1, big), (0, -big), (0, -big * big), (0, big * big),
+                                     (big, big * big), (big + 1, big), (2 * big, big * big))))
+    return Polynomial.of([a * t, -a * s, a])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_rational_quadratics())
+def test_the_closed_form_matches_the_search_on_rational_quadratics(p):
+    assert repr(poly_roots_in_field(p)) == repr(_search_roots(p))
 
 
 @st.composite
@@ -782,7 +863,7 @@ def _from_roots(roots):
 def test_roots_past_a_prime_that_merges_them(roots, n):
     p = _from_roots(roots)  # over Q(zeta_n), n the lcm of its coefficients' conductors
     assert math.lcm(*(c.conductor for c in p.coeffs)) == n
-    assert poly_roots_in_field(p) == _sorted(roots)
+    assert poly_roots_in_field(p) == _search_roots(p) == _sorted(roots)
 
 
 @pytest.mark.parametrize("q, count", [(13, 200), (241, 100), (2161, 30), (143401, 3)])
@@ -828,7 +909,9 @@ def test_a_discriminant_of_many_primes_costs_few_of_them(degree, big_n, below):
     # The roots 1 and 1 + P meet mod every prime = 1 (mod big_n) that divides
     # P, here all of them below ``below`` (about 1000 and 750 primes).  After
     # each failed prime the next one is above twice it, so the search tries
-    # about log2(below / q) primes, not one per prime factor of P.
+    # about log2(below / q) primes, not one per prime factor of P.  The
+    # search is called itself: poly_roots_in_field decides a quadratic over Q
+    # by its discriminant.
     primes = [x for x in range(big_n + 1, below, big_n)
               if all(x % d for d in range(2, math.isqrt(x) + 1))]
     roots = [rational(r) for r in (1, 1 + math.prod(primes), 2, 3)[:degree]]
@@ -839,5 +922,5 @@ def test_a_discriminant_of_many_primes_costs_few_of_them(degree, big_n, below):
         calls.append(least)
         return search(n, least)
     with mock.patch.object(linalg, "_prime_and_root", counted):
-        assert poly_roots_in_field(_from_roots(roots)) == _sorted(roots)
+        assert _search_roots(_from_roots(roots)) == _sorted(roots)
     assert len(calls) <= 2 + math.log2(below / primes[0])

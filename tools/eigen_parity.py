@@ -7,13 +7,19 @@ zeta_n); the other half are block diagonals conjugated by a unimodular
 integer matrix, with 1 x 1 blocks c zeta_n^k (c rational) and 2 x 2 blocks
 x^2 - a, where a is either c^2 zeta_n^k, so the roots lie in the degree-bounded
 extension, or a random entry.  So split, extension and non-split
-characteristic polynomials all occur.  The characteristic polynomials are
+characteristic polynomials all occur.  A last stratum of 600 integer 2 x 2
+matrices is shaped like the rational benchmark tuples: random small entries,
+companions of x^2 - x + p with p near 10^11, conjugated Jordan blocks (double
+roots), and conjugated matrices with roots x +- y i, t zeta_3^(+-1) or two
+integers, some of norm near 10^11.  The characteristic polynomials are
 computed first; then ``linalg.poly_roots_in_field(p)`` runs on each, timed
-alone.  Per rank it prints the count and summed wall time of the factors
-that split and of those that do not, so a refusal that comes early shows in
-the second.  One SHA-256 over the outputs is printed, so two checkouts print
+alone.  Per stratum it prints the count of factors, how many of them have
+rational characteristic polynomials (the ones a discriminant decides at rank
+2), and the count and summed wall time of the factors that split and of those
+that do not, so a refusal that comes early shows in the second.  One SHA-256
+over the outputs is printed, so two checkouts print
 equal hashes exactly when the rule answers every factor alike.  Run it once
-per checkout to compare them, hashes and per-rank times alike; a checkout
+per checkout to compare them, hashes and per-stratum times alike; a checkout
 whose ``poly_roots_in_field`` still takes the entries' conductor as a second
 argument is compared with its own copy of this tool:
 
@@ -30,8 +36,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-# (rank, conductors, factors per conductor)
-STRATA = ((2, range(1, 61), 70), (3, range(1, 61), 10), (4, range(1, 25), 3))
+# (name, rank, conductors, factors per conductor); conductor 0 marks the integer stratum
+STRATA = (("rank 2", 2, range(1, 61), 70), ("rank 3", 3, range(1, 61), 10),
+          ("rank 4", 4, range(1, 25), 3), ("rank 2 integer", 2, (0,), 600))
+HEAVY_NORM = 10 ** 11
 
 
 def main() -> int:
@@ -54,6 +62,15 @@ def main() -> int:
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
         return rational(c * c if square else c) * zeta(n, rng.randrange(n))
 
+    def conjugate(rows):
+        r = len(rows)
+        lower = Matrix.from_rows([[rng.randint(-2, 2) if j < i else int(i == j)
+                                   for j in range(r)] for i in range(r)])
+        upper = Matrix.from_rows([[rng.randint(-2, 2) if j > i else int(i == j)
+                                   for j in range(r)] for i in range(r)])
+        conj = lower @ upper
+        return conj @ Matrix.from_rows(rows) @ conj.inverse()
+
     def factor(n, r):
         if rng.random() < 0.5:
             return Matrix.from_rows([[entry(n) for _ in range(r)] for _ in range(r)])
@@ -65,20 +82,31 @@ def main() -> int:
                 rows[i][i + 1], rows[i + 1][i], i = a, rational(1), i + 2
             else:
                 rows[i][i], i = unit_multiple(n, False), i + 1
-        lower = Matrix.from_rows([[rng.randint(-2, 2) if j < i else int(i == j)
-                                   for j in range(r)] for i in range(r)])
-        upper = Matrix.from_rows([[rng.randint(-2, 2) if j > i else int(i == j)
-                                   for j in range(r)] for i in range(r)])
-        conj = lower @ upper
-        return conj @ Matrix.from_rows(rows) @ conj.inverse()
+        return conjugate(rows)
 
-    polys = {r: [] for r, _, _ in STRATA}
-    for r, conductors, count in STRATA:
-        for n in conductors:
-            for _ in range(count):
-                polys[r].append(charpoly(factor(n, r)))
+    def size():
+        # A small integer, or one near sqrt(10^11), so that norms reach about 10^11.
+        bound = 5 if rng.random() < 0.75 else 3 * 10 ** 5
+        return rng.choice((-1, 1)) * rng.randint(1, bound)
+
+    def integer_factor():
+        kind = rng.randrange(6)
+        if kind == 0:
+            return Matrix.from_rows([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+        if kind == 1:
+            return Matrix.from_rows([[0, -rng.randrange(HEAVY_NORM, HEAVY_NORM * 101 // 100)],
+                                     [1, 1]])
+        x, y = size(), size()
+        rows = {2: [[x, 1], [0, x]],             # the double root x
+                3: [[x, -y], [y, x]],            # x +- y i
+                4: [[0, -x * x], [1, -x]],       # x zeta_3^(+-1)
+                5: [[x, 0], [0, y]]}[kind]
+        return conjugate(rows)
+
     digest = hashlib.sha256()
-    for r, items in polys.items():
+    for name, r, conductors, per in STRATA:
+        items = [charpoly(factor(n, r) if n else integer_factor())
+                 for n in conductors for _ in range(per)]
         count, seconds = {True: 0, False: 0}, {True: 0.0, False: 0.0}
         for poly in items:
             t0 = time.perf_counter()
@@ -87,7 +115,9 @@ def main() -> int:
             count[out is not None] += 1
             seconds[out is not None] += elapsed
             digest.update(repr(out).encode() + b"\n")
-        print(f"rank {r}  {len(items)} factors  {count[True]} split {seconds[True]:.3f} s  "
+        rational_count = sum(all(c.conductor == 1 for c in p.coeffs) for p in items)
+        print(f"{name}  {len(items)} factors ({rational_count} rational)  "
+              f"{count[True]} split {seconds[True]:.3f} s  "
               f"{count[False]} unsplit {seconds[False]:.3f} s")
     print(f"seed {args.seed}  sha256 {digest.hexdigest()}")
     return 0
