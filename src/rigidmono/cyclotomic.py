@@ -235,11 +235,26 @@ def _descend(n: int, nums) -> tuple[int, list]:
 def _from_ratios(n: int, parts) -> tuple[int, list, int]:
     # (m, coordinates at m, den) of the sums of p_i / q_i zeta_k^i over parts (k, [(p_i, q_i)]),
     # k | n: one lift to n over one denominator den, one descent of them all to their least m.
+    # A part at k = n with at most phi(n) pairs holds power-basis coordinates already, and is
+    # placed as read; any other part is combined from the rows of the power table.
     den, phi = math.lcm(*[q for _, pairs in parts for _, q in pairs]), euler_phi(n)
     # q | den, so p * (den // q) / den == p / q, whatever the sign of q.
-    num = [_combine(n, ((j * (n // k), p * (den // q)) for j, (p, q) in enumerate(pairs)), phi)
+    num = [[p * (den // q) for p, q in pairs] + [0] * (phi - len(pairs))
+           if k == n and len(pairs) <= phi else
+           _combine(n, ((j * (n // k), p * (den // q)) for j, (p, q) in enumerate(pairs)), phi)
            for k, pairs in parts]
     return (*_descend(n, num), den)
+
+
+def _product(n: int, values, num=None, den: int = 1) -> tuple[list[int], int]:
+    # (integer coordinates at n, denominator) of num / den (default 1) times the product of
+    # values, CycNums at conductors dividing n: one lift and one convolution per value over
+    # the product of the denominators, with no descent and no gcd.
+    for v in values:
+        a = _lift(v.num, v.conductor, n)
+        num = a if num is None else _dot(n, ((num, a),))
+        den *= v.den
+    return ([1] + [0] * (euler_phi(n) - 1) if num is None else num), den
 
 
 def _normalize(n: int, num: list[int], den: int) -> CycNum:

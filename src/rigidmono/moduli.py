@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum, one, rational
+from .cyclotomic import CycNum, _normalize, _product, one, rational
 from .errors import NotInComponent, NotOnModuli, ShapeError
 from .linalg import Matrix
 from .monodromy import EigenData, MonodromyTuple
@@ -74,15 +74,15 @@ def nonsimple_test_s3(e: EigenData) -> bool:
                for x in e.points[0] for y in e.points[1] for z in e.points[2])
 
 
-def _scalar_product(e: EigenData, spec: ComponentSpec) -> CycNum | None:
-    # The product of the points outside the triple, or None if one of them is not scalar.
-    k = one()
+def _scalars(e: EigenData, spec: ComponentSpec) -> list[CycNum] | None:
+    # The scalar of each point outside the triple, or None if one of them is not scalar.
+    out = []
     for i, pt in enumerate(e.points, start=1):
         if i not in spec.triple:
             if pt[0] != pt[1]:
                 return None
-            k = k * pt[0]
-    return k
+            out.append(pt[0])
+    return out
 
 
 def component_membership(e: EigenData, spec: ComponentSpec) -> bool:
@@ -91,19 +91,30 @@ def component_membership(e: EigenData, spec: ComponentSpec) -> bool:
     Requires: the product of all 2s eigenvalues is 1; every point outside the
     triple is scalar (equal pair); and no choice of one eigenvalue at each
     triple point, together with the scalars, multiplies to 1.
+
+    The product being 1 is checked first.  With triple eigenvalues (x, x'),
+    (y, y'), (z, z') and k the product of the scalars, it reads
+    x y z k * x' y' z' k = 1, so a choice multiplies to 1 exactly when its
+    complement does, and the four choices that take x decide all eight.  Each
+    choice is formed as integer coordinates at the conductor of e over the
+    product of the denominators d (x k once, x k y once per y), and it is 1
+    exactly when those coordinates are d (1, 0, ..., 0): nothing is normalized.
     """
     if e.rank != 2:
         raise ShapeError("component membership requires rank 2")
     if e.punctures != spec.punctures:
         raise ShapeError("eigenvalue data and component spec disagree on s")
-    if e.product != one() or (scalars := _scalar_product(e, spec)) is None:
+    if e.product != one() or (scalars := _scalars(e, spec)) is None:
         return False
+    n = e.conductor()
     i1, i2, i3 = sorted(spec.triple)
-    for x in e.points[i1 - 1]:
-        for y in e.points[i2 - 1]:
-            for z in e.points[i3 - 1]:
-                if x * y * z * scalars == one():
-                    return False
+    xk = _product(n, [e.points[i1 - 1][0], *scalars])
+    for y in e.points[i2 - 1]:
+        xky = _product(n, [y], *xk)
+        for z in e.points[i3 - 1]:
+            num, den = _product(n, [z], *xky)
+            if num[0] == den and not any(num[1:]):
+                return False
     return True
 
 
@@ -130,7 +141,8 @@ def construct_representative(e: EigenData, spec: ComponentSpec) -> MonodromyTupl
     a1, a2 = e.points[i1 - 1]
     b1, b2 = e.points[i2 - 1]
     c1, c2 = e.points[i3 - 1]
-    scalars = _scalar_product(e, spec)
+    n = e.conductor()
+    scalars = _normalize(n, *_product(n, _scalars(e, spec)))
     u = (scalars * a1).inverse() + (scalars * a2).inverse() - b1 * c1 - b2 * c2
     g2 = Matrix.from_rows([[b1, one()], [rational(0), b2]])
     g3 = Matrix.from_rows([[c1, rational(0)], [u, c2]])

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycNum, one, rational, sort_key
+from .cyclotomic import CycNum, _normalize, _product, rational, sort_key
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 from .linalg import (Matrix, Polynomial, _full_span_mod_p, algebra_dim, charpoly,
                      eigenvalues_split, rank_and_kernel_dim)
@@ -117,7 +117,8 @@ class EigenData:
     @cached_property
     def product(self) -> CycNum:
         """The product of all r s eigenvalues, the determinant of the relation."""
-        return math.prod((v for pt in self.points for v in pt), start=one())
+        n = self.conductor()
+        return _normalize(n, *_product(n, (v for pt in self.points for v in pt)))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ reports byte-stable.  Parsers are strict: unknown keys are rejected, and a
 failed check builds its message only then.  A ``conductor_cap`` is enforced
 before any field arithmetic: on each declared conductor as its entry is read;
 on the lcm of a matrix's declared conductors, within which its entries,
-rational or not, are lifted once to that lcm over one denominator and the
+rational or not, are brought once to that lcm over one denominator (an entry
+declared there with at most phi(lcm) coordinates, as every rational and every
+value a report writes, is placed as read; any other is lifted) and the
 matrix descends once, a prime at a time, to its least conductor (past it, or
 with no cap, each entry descends alone and the cap holds on their least
 conductors before any lift); then on the lcm of a tuple's matrices (or of all
-the eigenvalues of eigenvalue data) before they are multiplied.  A plain
+the eigenvalues of eigenvalue data) before they are multiplied.  Eigenvalue
+data parses and checks every value, and decodes each distinct (declared
+conductor, coordinates) once per payload.  A plain
 rational string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``;
 every other spelling goes through ``Fraction``.  Every integer a report writes
 as text passes :func:`int_text`, which refuses one past the interpreter's
@@ -18,6 +22,7 @@ digit limit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -143,11 +148,11 @@ def cyc_to_json(z: CycNum) -> dict:
                   for c in z.num for g in (math.gcd(c, den),)]}
 
 
-def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, list[tuple[int, int]]]:
+def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, tuple]:
     # (declared conductor, coordinate pairs (p, q), q != 0) of a scalar, checked in this
     # order: keys, conductor, declared cap, the 'c' list.  A rational is at conductor 1.
     if isinstance(obj, (str, int)):
-        return 1, [_ratio_from_json(obj, what)]
+        return 1, (_ratio_from_json(obj, what),)
     check_keys(obj, {"n", "c"}, what)
     _require("n" in obj and "c" in obj, "{}: needs keys 'n' and 'c'", what)
     n = obj["n"]
@@ -157,7 +162,7 @@ def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, list[tup
     c = obj["c"]
     _require(isinstance(c, list) and len(c) <= n,
              "{}: 'c' must be a list of at most n = {} coordinates", what, n)
-    return n, [_ratio_from_json(x, what) for x in c]
+    return n, tuple(_ratio_from_json(x, what) for x in c)
 
 
 def _cyc(n: int, pairs) -> CycNum:
@@ -229,7 +234,8 @@ def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
     pts = obj.get("points")
     _require(isinstance(pts, list) and pts, "eigenvalue data: 'points' must be a non-empty list")
     _require(all(isinstance(pt, list) for pt in pts), "eigenvalue data: each point must be a list")
-    e = EigenData.of([[cyc_from_json(v, "eigenvalue", conductor_cap) for v in pt] for pt in pts])
+    cyc = functools.cache(_cyc)   # each value parsed and checked, each distinct one decoded once
+    e = EigenData.of([[cyc(*_cyc_parts(v, "eigenvalue", conductor_cap)) for v in pt] for pt in pts])
     _enforce_conductor_cap((v for pt in e.points for v in pt), conductor_cap)
     _check_declared(obj, "eigenvalue data", e.rank, e.punctures)
     return e

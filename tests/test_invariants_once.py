@@ -9,7 +9,7 @@ import random
 import sys
 
 from conftest import legendre_tuple, random_tuple
-from rigidmono import EigenData, Matrix, MonodromyTuple, charpoly, one, zeta
+from rigidmono import CycNum, EigenData, Matrix, MonodromyTuple, charpoly, one, zeta
 from rigidmono import monodromy
 from rigidmono import serialize as wire
 from rigidmono.cli import main
@@ -25,6 +25,9 @@ def _unsplit_tuple():
 
 
 UNSPLIT_JSON = json.dumps(wire.tuple_to_json(_unsplit_tuple()))
+# s = 7 eigenvalue data, non-scalar at 1, 2, 3 only, where no choice multiplies to 1.
+S7_JSON = json.dumps(wire.eigen_to_json(
+    EigenData.of([[zeta(5), zeta(5, 4)]] * 3 + [[one(), one()]] * 4)))
 
 
 def _count_calls(monkeypatch, name):
@@ -196,7 +199,21 @@ def test_classify_forms_the_global_product_once(monkeypatch, capsys):
     product = functools.cached_property(counted)
     product.__set_name__(EigenData, "product")
     monkeypatch.setattr(EigenData, "product", product)
-    z = zeta(5)
-    e = EigenData.of([[z, z ** 4]] * 3 + [[one(), one()]] * 4)
-    _run(capsys, "classify", "--input", json.dumps(wire.eigen_to_json(e)))
+    _run(capsys, "classify", "--input", S7_JSON)
     assert len(calls) == 1
+
+
+def test_classify_multiplies_no_cycnum(monkeypatch, capsys):
+    # The product of all 2s values, the scalars' k and every tested choice are
+    # formed on integer coordinates at one conductor: no CycNum product at all.
+    calls = []
+    original = CycNum.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    monkeypatch.setattr(CycNum, "__rmul__", counted)
+    _run(capsys, "classify", "--input", S7_JSON)
+    assert calls == []

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (LEGENDRE_MATRICES, legendre_eigen, legendre_tuple, random_member_eigen,
                       random_triangular_tuple, random_tuple)
@@ -189,3 +191,83 @@ def test_component_spec_validation():
         ComponentSpec.of(3, [1, 2, 5])
     with pytest.raises(ShapeError):
         component_membership(legendre_eigen(), ComponentSpec.of(4, [1, 2, 3]))
+
+
+# -- membership against the eight-choice rule ---------------------------------
+
+def _product_reference(e):
+    # The product of all 2s eigenvalues, one CycNum product at a time.
+    prod = one()
+    for pt in e.points:
+        for v in pt:
+            prod = prod * v
+    return prod
+
+
+def _membership_reference(e, spec):
+    # The rule as stated, in CycNum arithmetic: product 1, scalars outside the
+    # triple, and none of the eight choices x y z k equal to 1.
+    if _product_reference(e) != one():
+        return False
+    k = one()
+    for i, pt in enumerate(e.points, start=1):
+        if i not in spec.triple:
+            if pt[0] != pt[1]:
+                return False
+            k = k * pt[0]
+    i1, i2, i3 = sorted(spec.triple)
+    return all(x * y * z * k != one()
+               for x in e.points[i1 - 1] for y in e.points[i2 - 1] for z in e.points[i3 - 1])
+
+
+@st.composite
+def eigen_near_components(draw):
+    # Rank-2 data at s = 3..7 over Q(zeta_n), n <= 60: roots of unity, some of them
+    # times a non-unit (+-2, 1/3, -3/2, 1 + zeta_n^a, zeta_n^a - 2), with scalar and
+    # repeated pairs; a choice at the first triple is forced to 1 when asked, and
+    # the last value is rescaled so that the product of all 2s values is 1 unless
+    # the data is meant to be off the moduli.
+    s, n = draw(st.integers(3, 7)), draw(st.integers(1, 60))
+    triple = sorted(draw(st.permutations(range(1, s + 1)))[:3])
+
+    def value():
+        u = zeta(n, draw(st.integers(0, n - 1)))
+        kind = draw(st.integers(0, 4))
+        if kind == 1:
+            return u * R(draw(st.sampled_from([2, -2, Fraction(1, 3), Fraction(-3, 2)])))
+        if kind == 2:
+            a = draw(st.integers(0, n - 1))
+            c = one() + zeta(n, a) if draw(st.booleans()) else zeta(n, a) - R(2)
+            return u * c if c else u
+        return u
+
+    pts = []
+    for i in range(1, s + 1):
+        x = value()
+        shape = draw(st.integers(0, 3 if i in triple else 4))
+        pts.append([x, x] if shape == 0 or shape == 4 else [x, value()])
+    i1, i2, i3 = triple
+    if draw(st.booleans()):
+        k = one()
+        for i, pt in enumerate(pts, start=1):
+            if i not in triple:
+                k = k * pt[0]
+        x, y = pts[i1 - 1][draw(st.integers(0, 1))], pts[i2 - 1][draw(st.integers(0, 1))]
+        pts[i3 - 1][0] = (x * y * k).inverse()
+    if draw(st.integers(0, 9)):
+        prod = _product_reference(EigenData.of(pts))
+        pts[i3 - 1][1] = pts[i3 - 1][1] / prod
+    return EigenData.of(pts)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(eigen_near_components())
+@example(E([[zeta(5), zeta(5, 4)]] * 3 + [[one(), one()]] * 4))
+@example(E([[R(2), R(Fraction(1, 2))], [R(1), R(1)], [R(-1), R(-1)], [R(3), R(3)],
+            [R(Fraction(1, 3)), R(Fraction(1, 3))]]))
+def test_membership_matches_the_eight_choice_rule(e):
+    # The four choices at one conductor and one normalization of each product give
+    # the rule's answer on every spec, and EigenData.product the products' value.
+    assert e.product == _product_reference(e)
+    for spec in all_component_specs(e.punctures):
+        assert component_membership(e, spec) == _membership_reference(e, spec)

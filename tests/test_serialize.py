@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import legendre_eigen, legendre_tuple, random_member_eigen, random_tuple
-from rigidmono import (ComponentSpec, CycNum, Matrix, TorsionCoset, TorusFormula,
-                       deligne_residues, rational, zeta)
+from rigidmono import (ComponentSpec, CycNum, EigenData, Matrix, TorsionCoset, TorusFormula,
+                       deligne_residues, one, rational, zeta)
 from rigidmono.cyclotomic import euler_phi
 from rigidmono.galois import galois_orbit_eigen
 from rigidmono import cli
@@ -89,6 +89,27 @@ def test_eigen_and_residue_roundtrip():
     assert (obj["r"], obj["s"]) == (rd.rank, rd.punctures)
     assert all(isinstance(a, str) for pt in obj["points"] for a in pt)
     assert [tuple(F(a) for a in pt) for pt in obj["points"]] == [tuple(pt) for pt in rd.points]
+
+
+def test_eigen_decode_lifts_each_distinct_value_once(monkeypatch):
+    # Three copies each of zeta_5 and zeta_5^4 take one lift each; the rationals take
+    # none.  The memo lives for one call, and a repeated value is still checked.
+    from rigidmono import cyclotomic
+    lifts = []
+    original = cyclotomic._from_ratios
+    monkeypatch.setattr(cyclotomic, "_from_ratios",
+                        lambda n, parts: lifts.append(n) or original(n, parts))
+    e = EigenData.of([[zeta(5), zeta(5, 4)]] * 3 + [[one(), one()]] * 4)
+    obj = wire.eigen_to_json(e)
+    for _ in range(2):
+        lifts.clear()
+        assert wire.eigen_from_json(obj) == e
+        assert lifts == [5, 5]
+    z = wire.cyc_to_json(zeta(5))
+    with pytest.raises(SchemaError):
+        wire.eigen_from_json({"points": [[z, z], [z, {**z, "c": z["c"] + ["x"]}]]})
+    with pytest.raises(BudgetExceeded):
+        wire.eigen_from_json({"points": [[z, z], [z, z]]}, conductor_cap=4)
 
 
 def test_eigen_points_serialized_in_canonical_order():
@@ -329,6 +350,36 @@ def test_matrix_decoder_matches_the_entry_path(obj):
         assert (m.conductor, m.num, m.den) == (ref.conductor, ref.num, ref.den)
         assert m.entries == ref.entries
         assert m == ref
+
+
+def _entry_by_arithmetic(entry):
+    # sum(c_j zeta_n^j) over the entry's coordinates, in CycNum arithmetic alone.
+    n, cs = (entry["n"], entry["c"]) if isinstance(entry, dict) else (1, [entry])
+    ref = rational(0)
+    for j, c in enumerate(cs):
+        ref = ref + rational(fraction_of(c)) * zeta(n, j)
+    return ref
+
+
+@pytest.mark.parametrize("entries", [
+    # At the matrix conductor 12 (phi = 4): fewer than phi coordinates, exactly phi,
+    # more than phi, and an entry declared below it.
+    [{"n": 12, "c": ["1", [3, -2]]}, {"n": 12, "c": ["1", "0", "-1", "3/5"]},
+     {"n": 12, "c": ["0", "2", "0", "0", "1", [-7, 3]]}, {"n": 4, "c": ["1", "1"]}],
+    [{"n": 12, "c": []}, {"n": 12, "c": ["2", "0", "1", "0"]},
+     {"n": 12, "c": ["0"] * 11 + ["1"]}, {"n": 3, "c": ["2", "0", "-1"]}],
+    # At 5: exactly phi coordinates (-zeta_5^4), and zeta_5^4 past phi, reduced by Phi_5.
+    [{"n": 5, "c": ["1", "1", "1", "1"]}, {"n": 5, "c": ["0", "0", "0", "0", "1"]}],
+    # Conductor 1: no pair, one pair with a negative denominator, a plain rational.
+    [{"n": 1, "c": []}, {"n": 1, "c": [[3, -4]]}, "5/6"]])
+def test_matrix_decoder_places_coordinates_at_its_conductor(entries):
+    # Entries declared at the matrix's conductor n with at most phi(n) coordinates are
+    # placed as read, the others combined from the power table; both agree with arithmetic.
+    obj = {"rows": 1, "cols": len(entries), "entries": entries}
+    want = tuple(map(_entry_by_arithmetic, entries))
+    for cap in (None, 240):
+        assert wire.matrix_from_json(obj, cap).entries == want
+    assert tuple(wire.cyc_from_json(e) for e in entries) == want
 
 
 def test_matrix_cap_checks_keep_their_order(capsys):
