@@ -12,13 +12,11 @@ only by small integers) gives the characteristic polynomial and the inverse.
 Eigenvalues come from one exact rule on the characteristic polynomial p
 alone: every root (rational) x (root of unity) in a degree-bounded cyclotomic
 extension of p's coefficient field, plus the roots of a quadratic remainder
-whose discriminant is such a number squared.  A quadratic over Q evaluates
-the rule by its integer discriminant (rank 2 over Q, where the rule's roots
-of unity have order 1, 2, 3, 4 or 6).  Every other p, and any quadratic whose
-proposed roots p rejects, goes to one search that finds the roots modulo a
-small prime, lifted to a power of it (``_unit_roots``).  On either path only
-p's exact value accepts a root, and too few roots mod q refuse p before any
-lift.
+whose discriminant is such a number squared.  Roots are only proposed, by a
+rational quadratic's integer discriminant or else by one search modulo a
+small prime, lifted to a power of it (``_unit_roots``); ``Polynomial.deflate``
+alone accepts them, by p's exact value.  Either source may prove p unsplit:
+by its discriminant, or by too few roots mod q before any lift.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
@@ -66,11 +64,14 @@ class Polynomial:
         return acc
 
     def deflate(self, root: CycNum) -> Polynomial | None:
-        """Divide by (x - root); None if root is not actually a root."""
-        quot, carry = [], zero()  # synthetic division, highest degree first
-        for c in reversed(self.coeffs[1:]):
-            quot.append(carry := c + carry * root)
-        return None if self.coeffs[0] + carry * root else Polynomial(tuple(reversed(quot)))
+        """The quotient by (x - root), or None if p(root) != 0: the eigenvalue
+        rule's one exact check of a proposed root, by one evaluation."""
+        if self(root):
+            return None
+        quot = [self.coeffs[-1]]  # synthetic division, highest degree first
+        for c in reversed(self.coeffs[1:-1]):
+            quot.append(c + quot[-1] * root)
+        return Polynomial(tuple(reversed(quot)))
 
 
 class Matrix:
@@ -567,8 +568,9 @@ def _monic(p: Polynomial) -> Polynomial:
 
 
 def _unit_roots(p: Polynomial, big_n: int):
-    """Yield each root c u of p once, with c rational and u^big_n = 1 (big_n even),
-    or None alone when too few roots mod q prove p has one outside Q(zeta_big_n).
+    """Propose every root c u of p, c rational and u^big_n = 1 (big_n even),
+    for ``Polynomial.deflate`` to accept; or yield None alone when too few
+    roots mod q prove p has one outside Q(zeta_big_n).
 
     With p monic and D the lcm of its denominators, g(y) = D^d p(y / D) is
     integral and has the roots k u, k = D c an integer with |k| <= K
@@ -577,8 +579,8 @@ def _unit_roots(p: Polynomial, big_n: int):
     simple (``_simple_roots``), each is lifted by Newton's step to q^e > 2^20
     (2K + 1), and w likewise to W.  A root k zeta^j lifts to k W^j, so k is the
     symmetric residue of the lift times W^-j for one j < big_n / 2 (u and -u
-    give the same roots), and the candidate (k / D) zeta^j is accepted only if
-    p vanishes there exactly.  A root that is not simple mod q makes p its
+    give the same roots), and each (k / D) zeta^j with |k| <= K is proposed
+    (a zero lift once).  A root that is not simple mod q makes p its
     squarefree part p / gcd(p, p') once, and then q the least such prime
     above 2q.  A squarefree p fails only at primes that divide the norm of its
     discriminant; a product of k primes that each double the last exceeds
@@ -612,13 +614,10 @@ def _unit_roots(p: Polynomial, big_n: int):
         return
     for x in roots:
         rho = _hensel(g, x, q, m)
-        for j in range(big_n // 2):
+        for j in range(big_n // 2 if rho else 1):
             k = rho - m if 2 * rho > m else rho
             if abs(k) <= bound:
-                root = zeta(big_n, j)._scale(k, big_d)
-                if not p(root):
-                    yield root
-                    break
+                yield zeta(big_n, j)._scale(k, big_d)
             rho = rho * inv % m
 
 
@@ -647,34 +646,26 @@ def poly_roots_in_field(p: Polynomial) -> tuple[CycNum, ...] | None:
     n the lcm of the coefficients' conductors, together with its
     degree-bounded cyclotomic extensions Q(zeta_L); None when p does not split
     that way.  The rule: deflate every root c u with c rational and u a root
-    of unity in Q(zeta_L) (see ``_unit_roots``) as often as it divides; a
-    quadratic remainder splits when its discriminant is the square of such a
-    c u; a linear remainder always does.
+    of unity in Q(zeta_L) as often as it divides; a quadratic remainder splits
+    when its discriminant is the square of such a c u; a linear remainder
+    always does.
 
-    A rational quadratic evaluates the rule by its integer discriminant
-    (``_rational_quadratic``); only p's exact value accepts the two roots it
-    proposes, and any rejection leaves p to the search (``_search_roots``),
-    which serves every other p."""
+    A rational quadratic's roots are proposed by its integer discriminant
+    (``_rational_quadratic``), every other p's by the modular search; either
+    way ``_search_roots`` accepts them, and evaluates p only there."""
     if p.degree() < 1:
         return ()
-    if p.degree() == 2 and all(c.conductor == 1 for c in p.coeffs):
-        disc, roots = _rational_quadratic(p)
-        if roots is None:
-            return None
-        r, s = roots
-        # Two distinct roots of a quadratic are all of them; a double one needs disc = 0.
-        if not p(r) and not p(s) and (r != s or not disc):
-            return tuple(sorted(roots, key=sort_key))
-    return _search_roots(p)
+    rational_quadratic = p.degree() == 2 and all(c.conductor == 1 for c in p.coeffs)
+    return _search_roots(p, (_rational_quadratic(p),) if rational_quadratic else None)
 
 
-def _rational_quadratic(p: Polynomial) -> tuple[int, tuple[CycNum, CycNum] | None]:
+def _rational_quadratic(p: Polynomial) -> CycNum | None:
     # The rule on a x^2 + b x + c over Q, scaled to integers with a > 0, and
     # D = b^2 - 4 a c: its roots c u have u^12 = 1, and only u = +-1, +-i and
     # zeta_3^(+-1) up to sign have degree <= 2.  So p splits exactly when D is
     # a square (rational roots), -D is a square (roots in Q(i), reached by the
     # discriminant's root c i), or b != 0 and a c = b^2 (roots (b / a) zeta_3^(+-1)).
-    # Returns (D, the two roots), or (D, None) when p does not split.
+    # Proposes one of the two roots, or None when p does not split.
     scale = math.lcm(*(z.den for z in p.coeffs))
     c, b, a = (z.num[0] * (scale // z.den) for z in p.coeffs)
     if a < 0:
@@ -682,23 +673,35 @@ def _rational_quadratic(p: Polynomial) -> tuple[int, tuple[CycNum, CycNum] | Non
     disc = b * b - 4 * a * c
     s = math.isqrt(abs(disc))
     if s * s == disc:
-        return disc, (_lowest_terms(1, [s - b], 2 * a), _lowest_terms(1, [-s - b], 2 * a))
+        return _lowest_terms(1, [s - b], 2 * a)
     if s * s == -disc:
-        return disc, (_lowest_terms(4, [-b, s], 2 * a), _lowest_terms(4, [-b, -s], 2 * a))
+        return _lowest_terms(4, [-b, s], 2 * a)
     if b and a * c == b * b:
-        return disc, (zeta(3, 1)._scale(b, a), zeta(3, 2)._scale(b, a))
-    return disc, None
+        return zeta(3, 1)._scale(b, a)
+    return None
 
 
-def _search_roots(p: Polynomial) -> tuple[CycNum, ...] | None:
-    """``poly_roots_in_field`` for p of degree >= 1 by the modular root search
-    alone: every root c u found by ``_unit_roots`` and deflated as often as it
-    divides, then a quadratic remainder by the same search on y^2 - disc.
-    Every root it accepts lies in Q(zeta_L), so too few roots mod q return
-    None before any lift, discriminant or second search."""
+def _search_roots(p: Polynomial, proposals=None) -> tuple[CycNum, ...] | None:
+    """``poly_roots_in_field`` for p of degree >= 1: ``Polynomial.deflate``
+    accepts each proposed root (by default from ``_unit_roots``) as often as
+    it divides; then a quadratic remainder c2 y^2 + c1 y + c0 proposes
+    (w - c1) / (2 c2) for each w the same search proposes as a square root of
+    its discriminant; the last root is the linear quotient's.  A proposed None
+    proves that p does not split, before any lift or second search."""
     big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots: list[CycNum] = []
-    for root in _unit_roots(p, big_n):
+
+    def remainder_proposals():
+        # Run only once the proposals above are spent, so p is the remainder by then.
+        if p.degree() == 2:
+            c0, c1, c2 = p.coeffs
+            half = rational(Fraction(1, 2)) * c2.inverse()
+            square = Polynomial((rational(4) * c2 * c0 - c1 * c1, zero(), one()))  # y^2 - disc
+            for w in _unit_roots(square, big_n):
+                yield w if w is None else (w - c1) * half
+
+    for root in itertools.chain(_unit_roots(p, big_n) if proposals is None else proposals,
+                                remainder_proposals()):
         if root is None:
             return None
         while p.degree() > 1 and (rest := p.deflate(root)) is not None:
@@ -706,16 +709,7 @@ def _search_roots(p: Polynomial) -> tuple[CycNum, ...] | None:
             p = rest
         if p.degree() < 2:
             break
-    if p.degree() > 2:
+    if p.degree() > 1:
         return None
-    if p.degree() == 2:
-        c0, c1, c2 = p.coeffs
-        disc = c1 * c1 - rational(4) * c2 * c0
-        w = next(_unit_roots(Polynomial((-disc, zero(), one())), big_n), None)
-        if w is None:
-            return None
-        half = rational(Fraction(1, 2)) * c2.inverse()
-        roots += [(-c1 + w) * half, (-c1 - w) * half]
-    elif p.degree() == 1:
-        roots.append(-p.coeffs[0] / p.coeffs[1])
+    roots.append(-p.coeffs[0] / p.coeffs[1])
     return tuple(sorted(roots, key=sort_key))

@@ -132,7 +132,9 @@ def construct_representative(e: EigenData, spec: ComponentSpec) -> MonodromyTupl
     placed at the triple in increasing position order, with the scalar
     matrices elsewhere.  Membership of the data in the component forces
     u != 0, hence the Jordan shape at repeated eigenvalues, and guarantees
-    the result is irreducible with the prescribed local data.
+    the result is irreducible with the prescribed local data.  It also puts
+    the product of all 2s eigenvalues at 1, so w = k b1 b2 c1 c2 = (k a1 a2)^-1
+    and nothing is inverted: u = w (a1 + a2) - b1 c1 - b2 c2, G1 = (k a1 a2) adj(G3) adj(G2).
     """
     if not component_membership(e, spec):
         raise NotInComponent(
@@ -142,11 +144,14 @@ def construct_representative(e: EigenData, spec: ComponentSpec) -> MonodromyTupl
     b1, b2 = e.points[i2 - 1]
     c1, c2 = e.points[i3 - 1]
     n = e.conductor()
-    scalars = _normalize(n, *_product(n, _scalars(e, spec)))
-    u = (scalars * a1).inverse() + (scalars * a2).inverse() - b1 * c1 - b2 * c2
+    k = _product(n, _scalars(e, spec))
+    w = _normalize(n, *_product(n, (b1, b2, c1, c2), *k))
+    ka = _normalize(n, *_product(n, (a1, a2), *k))
+    u = w * (a1 + a2) - b1 * c1 - b2 * c2
     g2 = Matrix.from_rows([[b1, one()], [rational(0), b2]])
     g3 = Matrix.from_rows([[c1, rational(0)], [u, c2]])
-    g1 = ((g2 @ g3).scale(scalars)).inverse()
+    g1 = (Matrix.from_rows([[c2, rational(0)], [-u, c1]])
+          @ Matrix.from_rows([[b2, -one()], [rational(0), b1]])).scale(ka)
     placed: list[Matrix | None] = [None] * e.punctures
     placed[i1 - 1], placed[i2 - 1], placed[i3 - 1] = g1, g2, g3
     for i, pt in enumerate(e.points, start=1):

@@ -768,13 +768,40 @@ TRAP = 1 + 2 * 13 ** 40  # see test_a_candidate_needs_the_exact_check
 ])
 def test_a_rational_quadratic_costs_two_evaluations_and_no_search(coeffs, roots):
     # Over Q the discriminant decides the rule, by math.isqrt: a split
-    # quadratic has each of its two roots checked once by p's exact value and
-    # runs no modular search or lift, so no 13-adic trap; an unsplit one runs
-    # nothing at all, whatever its constant is mod 13.
+    # quadratic has the one root it proposes checked once by p's exact value,
+    # in deflate, the other is the linear quotient's, and it runs no modular
+    # search or lift, so no 13-adic trap; an unsplit one runs nothing at all,
+    # whatever its constant is mod 13.
     with _search_steps() as steps:
         got = poly_roots_in_field(Polynomial.of(coeffs))
     assert got == (None if roots is None else _sorted(roots))
-    assert steps == ([] if roots is None else ["eval", "eval"])
+    assert steps == ([] if roots is None else ["eval"])
+
+
+@pytest.mark.parametrize("coeffs, steps", [
+    # y^2 + i y - 1: the first root found, zeta_12^7 or zeta_12^11, is
+    # accepted; the other one is the linear quotient's.
+    ([-1, zeta(4), 1], ["search", "lift", "deflate", "eval"]),
+    # (x - 1)^2 (x - 2): no root is simple mod 13, so the search serves the
+    # squarefree part; 1 is accepted twice, and 2 is the linear quotient's.
+    ([-2, 5, -4, 1], ["search", "search", "lift", "deflate", "eval", "deflate", "eval"]),
+    # (x - 1)(x^2 - 2x + 2): 1 + i and 1 - i are no c u and propose nothing;
+    # 1 is accepted, does not divide again, and the remainder's discriminant
+    # -4 proposes one of 1 +- i.
+    ([-2, 4, -3, 1], ["search", "lift", "lift", "lift", "deflate", "eval", "deflate", "eval",
+                      "search", "lift", "deflate", "eval"]),
+])
+def test_a_root_accepted_by_the_search_costs_one_evaluation(coeffs, steps):
+    # The search only proposes; Polynomial.deflate alone accepts a root, by
+    # one exact evaluation of p, and divides it out.  No evaluation happens
+    # outside deflate, and none is repeated as a remainder.
+    deflate = Polynomial.deflate
+    p = Polynomial.of(coeffs)
+    with _search_steps() as got, mock.patch.object(
+            Polynomial, "deflate", lambda self, x: got.append("deflate") or deflate(self, x)):
+        roots = _search_roots(p)
+    assert got == steps
+    assert roots is not None and _from_roots(roots) == p
 
 
 @st.composite
@@ -902,6 +929,30 @@ def test_conjugated_jordan_block_has_its_double_root():
         assert eigenvalues_split(a) == (lam, lam)
     assert primes == [1]
     assert poly_roots_in_field(charpoly(a)) == (lam, lam)
+
+
+def test_a_repeated_root_outside_the_field_is_refused_at_the_first_prime():
+    # (x^2 - x - 1)^2 over Q: L = 120, and every prime q = 1 (mod 120) is
+    # 1 mod 5, so the double roots (1 +- sqrt 5) / 2 are double mod every
+    # such q.  Only the exact squarefree part x^2 - x - 1 tells them from two
+    # roots that met mod q: its roots mod 241 are simple and no c u, so p is
+    # refused after one prime, by the search and through a basis alike.
+    p = Polynomial.of([1, 2, -1, -2, 1])
+    h = M([[1, 0, 0, 0], [1, 1, 0, 0], [2, -1, 1, 0], [0, 1, 2, 1]]) @ \
+        M([[1, 2, 0, 1], [0, 1, -1, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    a = h @ M([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]) @ h.inverse()
+    assert charpoly(a) == p and _extension_conductor(1, 4) == 120
+    primes, search = [], linalg._prime_and_root
+
+    def counted(n, least=2 ** 30):
+        found = search(n, least)
+        primes.append(found[0])
+        return found
+    with mock.patch.object(linalg, "_prime_and_root", counted):
+        assert poly_roots_in_field(p) is None
+        assert primes == [241]
+        assert eigenvalues_split(a) is None
+    assert primes == [241, 241]
 
 
 @pytest.mark.parametrize("degree, big_n, below", [(2, 12, 4 * 10 ** 4), (4, 120, 28 * 10 ** 4)])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (LEGENDRE_MATRICES, legendre_eigen, legendre_tuple, random_member_eigen,
                       random_triangular_tuple, random_tuple)
-from rigidmono import (ComponentSpec, EigenData, Matrix, MonodromyTuple, all_component_specs,
-                       component_membership, construct_representative, is_irreducible,
-                       katz_report, mon, nonsimple_test_s3, one, rank2_classify, rational,
-                       trace_chart, zeta)
+from rigidmono import (ComponentSpec, CycNum, EigenData, Matrix, MonodromyTuple,
+                       all_component_specs, component_membership, construct_representative,
+                       is_irreducible, katz_report, mon, nonsimple_test_s3, one, rank2_classify,
+                       rational, trace_chart, zeta)
 from rigidmono.errors import NotInComponent, NotOnModuli, ShapeError
 
 E = EigenData.of
@@ -112,6 +112,24 @@ def test_construct_roundtrip_randomized():
         cls = rank2_classify(t)
         assert cls.rigid and cls.component_triple == triple
         assert katz_report(t).verdict == "rigid"
+
+
+def test_construct_inverts_nothing(monkeypatch):
+    # Membership has checked that all 2s eigenvalues multiply to 1, and
+    # construct builds u and G1 = (k G2 G3)^-1 from that relation: no CycNum
+    # is inverted, on unit data or not (the scalar point gives k = -1/2).
+    h = Fraction(1, 2)
+    data = [(E([[R(2), R(Fraction(1, 3))], [zeta(5), R(Fraction(3, 2))],
+                [zeta(5, 2), R(4) * zeta(5, 2)], [R(-h), R(-h)]]), ComponentSpec.of(4, [1, 2, 3])),
+            (random_member_eigen(random.Random(24), 5, [1, 3, 5]), ComponentSpec.of(5, [1, 3, 5]))]
+    inverse, calls = CycNum.inverse, []
+    monkeypatch.setattr(CycNum, "inverse", lambda self: calls.append(self) or inverse(self))
+    tuples = [construct_representative(e, spec) for e, spec in data]
+    assert calls == []
+    monkeypatch.undo()
+    for t, (e, spec) in zip(tuples, data):
+        assert mon(t).eigen == e
+        assert rank2_classify(t).component_triple == spec.triple
 
 
 def test_construct_offdiagonal_forced_at_repeated_eigenvalues():
