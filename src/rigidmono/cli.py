@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout)")
     parser.add_argument("--order-bound", type=int, default=12,
                         help="torsion order bound for enumeration (default 12)")
-    parser.add_argument("--conductor-cap", type=int, default=240,
-                        help="largest working conductor accepted (default 240)")
+    parser.add_argument("--conductor-cap", type=int, default=wire.DEFAULT_CONDUCTOR_CAP,
+                        help="largest working conductor accepted (default %(default)s)")
     parser.add_argument("--batch", action="store_true",
                         help="treat the input as a list and map the command over it")
     parser.add_argument("--describe-schema", metavar="COMMAND", choices=COMMANDS,

@@ -465,11 +465,6 @@ class CycNum:
             k >>= 1
         return result
 
-    def conj(self) -> CycNum:
-        """Complex conjugate (the automorphism zeta -> zeta^-1)."""
-        n = self.conductor
-        return _make(n, _apply_exponent(n, self.num, n - 1), self.den)
-
     def __repr__(self):
         if self.conductor == 1:
             return f"CycNum({self.as_rational()})"

@@ -135,10 +135,6 @@ class Matrix:
         return cls.from_coords(n, n, value.conductor, tuple(
             value.num if i % (n + 1) == 0 else z for i in range(n * n)), value.den)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls.from_coords(rows, cols, 1, ((0,),) * (rows * cols), 1)
-
     @property
     def entries(self) -> tuple[CycNum, ...]:
         """The entries, row-major, each at its minimal conductor."""

@@ -3,15 +3,16 @@
 All rationals travel as strings so no reader ever rounds them; multisets are
 serialized in the canonical order (conductor, then coordinates), making
 reports byte-stable.  Parsers are strict: unknown keys are rejected, and a
-failed check builds its message only then.  A ``conductor_cap`` is enforced
-before any field arithmetic: on each declared conductor as its entry is read;
+failed check builds its message only then.  A ``conductor_cap`` (by default
+``DEFAULT_CONDUCTOR_CAP``, the CLI's default too) is enforced before any
+field arithmetic: on each declared conductor as its entry is read;
 on the lcm of a matrix's declared conductors, within which its entries,
 rational or not, are brought once to that lcm over one denominator (an entry
 declared there with at most phi(lcm) coordinates, as every rational and every
 value a report writes, is placed as read; any other is lifted) and the
-matrix descends once, a prime at a time, to its least conductor (past it, or
-with no cap, each entry descends alone and the cap holds on their least
-conductors before any lift); then on the lcm of a tuple's matrices (or of all
+matrix descends once, a prime at a time, to its least conductor (past it,
+each entry descends alone and the cap holds on their least conductors before
+any lift); then on the lcm of a tuple's matrices (or of all
 the eigenvalues of eigenvalue data) before they are multiplied.  Eigenvalue
 data parses and checks every value, and decodes each distinct (declared
 conductor, coordinates) once per payload.  A plain
@@ -36,6 +37,8 @@ from .moduli import ComponentSpec, TraceChartPoint
 from .monodromy import EigenData, MonodromyTuple, Rank2Classification, RigidityReport
 from .residues import CurveGeometry, ResidueData
 from .tori import TorsionCoset, TorusFormula
+
+DEFAULT_CONDUCTOR_CAP = 240
 
 
 def _require(cond: bool, msg: str, *args):
@@ -65,11 +68,11 @@ def _check_declared(obj: dict, what: str, rank: int, punctures: int):
                      "{}: declared {} {!r} != {}", what, name, obj[key], value)
 
 
-def _enforce_conductor_cap(values, cap: int | None):
+def _enforce_conductor_cap(values, cap: int):
     n = 1
     for v in values:
         n = math.lcm(n, v.conductor)
-        if cap is not None and n > cap:
+        if n > cap:
             raise BudgetExceeded(f"working conductor {n} exceeds the cap of {cap}")
 
 
@@ -148,7 +151,7 @@ def cyc_to_json(z: CycNum) -> dict:
                   for c in z.num for g in (math.gcd(c, den),)]}
 
 
-def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, tuple]:
+def _cyc_parts(obj, what: str, conductor_cap: int) -> tuple[int, tuple]:
     # (declared conductor, coordinate pairs (p, q), q != 0) of a scalar, checked in this
     # order: keys, conductor, declared cap, the 'c' list.  A rational is at conductor 1.
     if isinstance(obj, (str, int)):
@@ -157,7 +160,7 @@ def _cyc_parts(obj, what: str, conductor_cap: int | None) -> tuple[int, tuple]:
     _require("n" in obj and "c" in obj, "{}: needs keys 'n' and 'c'", what)
     n = obj["n"]
     _require(is_int(n) and n >= 1, "{}: bad conductor {!r}", what, n)
-    if conductor_cap is not None and n > conductor_cap:
+    if n > conductor_cap:
         raise BudgetExceeded(f"{what}: declared conductor {n} exceeds the cap of {conductor_cap}")
     c = obj["c"]
     _require(isinstance(c, list) and len(c) <= n,
@@ -174,7 +177,8 @@ def _cyc(n: int, pairs) -> CycNum:
     return _make(1, (p // g,), q // g)
 
 
-def cyc_from_json(obj, what: str = "cyclotomic number", conductor_cap: int | None = None) -> CycNum:
+def cyc_from_json(obj, what: str = "cyclotomic number",
+                  conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> CycNum:
     return _cyc(*_cyc_parts(obj, what, conductor_cap))
 
 
@@ -185,7 +189,7 @@ def matrix_to_json(m: Matrix) -> dict:
             "entries": [cyc_to_json(v) for v in m.entries]}
 
 
-def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
+def matrix_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> Matrix:
     check_keys(obj, {"rows", "cols", "entries"}, "matrix")
     rows, cols = obj.get("rows"), obj.get("cols")
     _require(is_int(rows) and is_int(cols),
@@ -195,9 +199,9 @@ def matrix_from_json(obj, conductor_cap: int | None = None) -> Matrix:
              "matrix: expected {} entries", rows * cols)
     parts = [_cyc_parts(v, "matrix entry", conductor_cap) for v in ent]
     n = math.lcm(*[k for k, _ in parts])
-    if conductor_cap is None or n > conductor_cap:
-        # Entry by entry: past the cap (or with none, n unbounded) the least
-        # conductors first, which the cap then bounds before any lift.
+    if n > conductor_cap:
+        # Entry by entry: past the cap the least conductors first, which the
+        # cap then bounds before any lift.
         ent = [_cyc(k, pairs) for k, pairs in parts]
         _enforce_conductor_cap(ent, conductor_cap)
         return Matrix(rows, cols, ent)
@@ -210,7 +214,7 @@ def tuple_to_json(t: MonodromyTuple) -> dict:
             "matrices": [matrix_to_json(m) for m in t.matrices]}
 
 
-def tuple_from_json(obj, conductor_cap: int | None = None) -> MonodromyTuple:
+def tuple_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> MonodromyTuple:
     check_keys(obj, {"r", "s", "matrices"}, "monodromy tuple")
     mats = obj.get("matrices")
     _require(isinstance(mats, list) and mats, "monodromy tuple: 'matrices' must be a non-empty list")
@@ -229,7 +233,7 @@ def eigen_to_json(e: EigenData, cyc=None) -> dict:
     return {"r": e.rank, "s": e.punctures, "points": [[cyc(v) for v in pt] for pt in e.points]}
 
 
-def eigen_from_json(obj, conductor_cap: int | None = None) -> EigenData:
+def eigen_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> EigenData:
     check_keys(obj, {"r", "s", "points"}, "eigenvalue data")
     pts = obj.get("points")
     _require(isinstance(pts, list) and pts, "eigenvalue data: 'points' must be a non-empty list")

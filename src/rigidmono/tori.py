@@ -8,9 +8,10 @@ instance preimages under non-injective monomial maps) stay single objects.
 Intersections, preimages and the listing of torsion points of bounded order
 all solve one congruence system through one Smith normal form, never a grid
 scan; inconsistent systems yield the canonical empty coset.  The kernel is
-integer-only: a listed point of order dividing b is its numerators over b,
-and Fractions appear only in ``TorsionCoset.of``, ``.translate`` and
-``solve_congruences``.
+integer-only: a congruence system is solved from integer targets over one
+denominator, a listed point of order dividing b is its numerators over b,
+and Fractions appear only in ``TorsionCoset.of``, ``.translate`` and the
+points ``coset_membership`` reads.
 """
 from __future__ import annotations
 
@@ -106,8 +107,9 @@ def _diagonalize(rows: list[list[int]], targets: list[int], den: int, n: int):
     or None if inconsistent (H. Cohen, GTM 138, section 2.4): with S = U rows V
     and x = V y the system is d_k y_k = (U t)_k (mod 1), d_k = S_kk or 0 past
     the rank, so y (numerators over big = den lcm(d_k)) is one solution and
-    y_k + j / d_k (any y_k if d_k = 0) all of them."""
-    s, u, v = smith_normal_form(rows)
+    y_k + j / d_k (any y_k if d_k = 0) all of them.  A system with no rows is
+    solved as the one zero row, whose d_k are all 0."""
+    s, u, v = smith_normal_form(rows or [[0] * n])
     d = [s[k][k] if k < len(s) else 0 for k in range(n)]
     big = den * math.lcm(*(dk for dk in d if dk))
     y = [0] * n
@@ -127,14 +129,17 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in vals], den
 
 
-def solve_congruences(rows: list[list[int]], targets: list[Fraction], n: int) -> list[Fraction] | None:
-    """A rational x with <x, row_i> = targets_i (mod 1) for all i, or None."""
-    if not rows:
-        return [Fraction(0)] * n
-    if (solved := _diagonalize(rows, *_over_lcm(targets), n)) is None:
-        return None
+def solve_congruences(rows: list[list[int]], targets: list[int], den: int, n: int) -> TorsionCoset:
+    """The coset of the x in n unknowns with <x, row_i> = targets_i / den
+    (mod 1) for all i: relations ``rows`` through the solution that
+    ``_diagonalize`` finds, its numerators over big reduced by their one gcd
+    with big.  An inconsistent system gives the canonical empty coset."""
+    if (solved := _diagonalize(rows, targets, den, n)) is None:
+        return TorsionCoset.empty_set(n)
     _, y, big, v = solved
-    return [Fraction(sum(c * yk for c, yk in zip(row, y)) % big, big) for row in v]
+    num = [sum(c * yk for c, yk in zip(row, y)) % big for row in v]
+    g = math.gcd(big, *num)
+    return TorsionCoset(n, tuple(map(tuple, rows)), tuple(x // g for x in num), big // g)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +206,6 @@ def _targets(c: TorsionCoset, den: int) -> list[int]:
     return [sum(t * v for t, v in zip(c.num, row)) * (den // c.den) for row in c.relations]
 
 
-def _resolved(n: int, rows: list[list[int]], targets: list[int], den: int) -> TorsionCoset:
-    # The coset of the given rows through a common solution, or the empty coset.
-    tau = solve_congruences(rows, [Fraction(t, den) for t in targets], n)
-    return TorsionCoset.empty_set(n) if tau is None else TorsionCoset.of(n, rows, tau)
-
-
 def coset_intersect(a: TorsionCoset, b: TorsionCoset) -> TorsionCoset:
     """Stack the relation rows and re-solve for a common translate; an
     inconsistent congruence system gives the canonical empty coset."""
@@ -216,7 +215,7 @@ def coset_intersect(a: TorsionCoset, b: TorsionCoset) -> TorsionCoset:
         return TorsionCoset.empty_set(a.dim)
     rows = [list(r) for r in a.relations] + [list(r) for r in b.relations]
     den = math.lcm(a.den, b.den)
-    return _resolved(a.dim, rows, _targets(a, den) + _targets(b, den), den)
+    return solve_congruences(rows, _targets(a, den) + _targets(b, den), den, a.dim)
 
 
 def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCoset:
@@ -233,7 +232,7 @@ def monomial_preimage(c: TorsionCoset, a_matrix: list[list[int]]) -> TorsionCose
         return TorsionCoset.empty_set(n)
     rows = [[sum(v[i] * a_matrix[i][j] for i in range(m)) for j in range(n)]
             for v in c.relations]
-    return _resolved(n, rows, _targets(c, c.den), c.den)
+    return solve_congruences(rows, _targets(c, c.den), c.den, n)
 
 
 def enumerate_torsion(c: TorsionCoset, order_bound: int) -> set[tuple[int, ...]]:
@@ -255,8 +254,8 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int) -> set[tuple[int, ...]]
                              f"{DEFAULT_GRID_BUDGET}")
     if c.empty:
         return set()
-    rows = [list(r) for r in c.relations] or [[0] * n]   # no relations: the zero row
-    if (solved := _diagonalize(rows, _targets(c, c.den) or [0], c.den, n)) is None:
+    rows = [list(r) for r in c.relations]
+    if (solved := _diagonalize(rows, _targets(c, c.den), c.den, n)) is None:
         return set()
     d, y, big, v = solved
     gs, rs = [math.gcd(dk, b) for dk in d], [b * dk * yk for dk, yk in zip(d, y)]  # big r_k

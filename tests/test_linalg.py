@@ -35,8 +35,7 @@ def test_coordinate_constructors_equal_their_entry_built_forms(r, n):
     def diagonal(x, cols):
         return tuple(x if i % (cols + 1) == 0 else zero() for i in range(r * cols))
     for built, rows, cols, ent in [(Matrix.scalar(r, value), r, r, diagonal(value, r)),
-                                   (Matrix.identity(r), r, r, diagonal(one(), r)),
-                                   (Matrix.zeros(r, r + 1), r, r + 1, (zero(),) * (r * r + r))]:
+                                   (Matrix.identity(r), r, r, diagonal(one(), r))]:
         want = Matrix(rows, cols, ent)
         assert built == want and hash(built) == hash(want)
         assert (built.entries, built.conductor, built.num, built.den) == (
@@ -95,7 +94,7 @@ def test_shape_errors():
 
 
 def test_rank_kernel_examples():
-    assert rank_and_kernel_dim(Matrix.zeros(3, 3)) == (0, 3)
+    assert rank_and_kernel_dim(Matrix.scalar(3, 0)) == (0, 3)
     assert rank_and_kernel_dim(Matrix.identity(4)) == (4, 0)
     z3 = zeta(3)
     assert rank_and_kernel_dim(M([[1, z3], [z3 ** 2, 1]])) == (1, 1)
@@ -161,10 +160,10 @@ def test_cayley_hamilton():
     for n in (2, 3):
         for _ in range(20):
             a = Matrix(n, n, tuple(rng.choice(POOL) for _ in range(n * n)))
-            acc = Matrix.zeros(n, n)  # p(A) by Horner's rule
+            acc = Matrix.scalar(n, 0)  # p(A) by Horner's rule
             for c in reversed(charpoly(a).coeffs):
                 acc = a @ acc + Matrix.scalar(n, c)
-            assert acc == Matrix.zeros(n, n)
+            assert acc == Matrix.scalar(n, 0)
 
 
 def test_charpoly_conjugation_invariant():
@@ -766,7 +765,7 @@ TRAP = 1 + 2 * 13 ** 40  # see test_a_candidate_needs_the_exact_check
     ([-TRAP, 0, 1], None),
     ([-TRAP * TRAP, 0, 1], [rational(TRAP), rational(-TRAP)]),
 ])
-def test_a_rational_quadratic_costs_two_evaluations_and_no_search(coeffs, roots):
+def test_a_rational_quadratic_costs_one_evaluation_and_no_search(coeffs, roots):
     # Over Q the discriminant decides the rule, by math.isqrt: a split
     # quadratic has the one root it proposes checked once by p's exact value,
     # in deflate, the other is the linear quotient's, and it runs no modular

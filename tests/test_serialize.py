@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -302,6 +303,16 @@ def test_matrix_conductor_cap_precedes_any_lift(monkeypatch):
     assert 247 not in lifts
 
 
+def test_library_decode_is_capped_by_default():
+    # Conductors 11, 17, 23 and 7 work together at 30107, whose dense power table would hold
+    # about 6 x 10^8 integers: with no cap passed, the decoder refuses them at once.
+    entries = [wire.cyc_to_json(zeta(k)) for k in (11, 17, 23, 7)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="working conductor 4301 exceeds the cap of 240"):
+        wire.matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+    assert time.perf_counter() - start < 0.5
+
+
 # -- matrices decoded straight to coordinates ---------------------------------
 
 @st.composite
@@ -340,8 +351,8 @@ def test_matrix_decoder_matches_the_entry_path(obj):
     # least ones after.  At 240, a matrix whose declared conductors have an lcm up to 240
     # takes the single descent.
     ref = Matrix(obj["rows"], obj["cols"], [wire.cyc_from_json(e) for e in obj["entries"]])
-    for cap in (None, 240, 60):
-        if cap and max(max(map(_declared, obj["entries"])), ref.conductor) > cap:
+    for cap in (240, 60):
+        if max(max(map(_declared, obj["entries"])), ref.conductor) > cap:
             with pytest.raises(BudgetExceeded):
                 wire.matrix_from_json(obj, cap)
             continue
@@ -377,8 +388,7 @@ def test_matrix_decoder_places_coordinates_at_its_conductor(entries):
     # placed as read, the others combined from the power table; both agree with arithmetic.
     obj = {"rows": 1, "cols": len(entries), "entries": entries}
     want = tuple(map(_entry_by_arithmetic, entries))
-    for cap in (None, 240):
-        assert wire.matrix_from_json(obj, cap).entries == want
+    assert wire.matrix_from_json(obj, 240).entries == want
     assert tuple(wire.cyc_from_json(e) for e in entries) == want
 
 

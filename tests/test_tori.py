@@ -262,16 +262,18 @@ def test_solve_congruences_answers_lie_on_the_coset(coset_and_bound, data):
     if c.empty:
         return
     rows = [list(r) for r in c.relations]
-    targets = [sum(t * v for t, v in zip(c.translate, r)) for r in rows]
-    x = solve_congruences(rows, targets, c.dim)
-    assert x is not None and coset_membership(x, c)
+    targets = [sum(t * v for t, v in zip(c.num, r)) for r in rows]   # over c.den
+    x = solve_congruences(rows, targets, c.den, c.dim)
+    assert not x.empty and coset_membership(x.translate, c)
+    assert x == TorsionCoset.of(c.dim, rows, x.translate)   # in lowest terms, as .of stores it
     # An integer combination of the rows whose target is moved off the
     # combined target by a non-integer makes the system inconsistent.
     combo = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
-    shift = data.draw(st.integers(1, 11).map(lambda k: F(k, 12)))
+    shift = data.draw(st.integers(1, 11))   # shift / 12, over the denominator 12 c.den
     bad_row = [sum(k * r[j] for k, r in zip(combo, rows)) for j in range(c.dim)]
-    bad_target = sum((k * t for k, t in zip(combo, targets)), shift)
-    assert solve_congruences(rows + [bad_row], targets + [bad_target], c.dim) is None
+    bad_target = 12 * sum(k * t for k, t in zip(combo, targets)) + shift * c.den
+    assert solve_congruences(rows + [bad_row], [12 * t for t in targets] + [bad_target],
+                             12 * c.den, c.dim).empty
 
 
 # ---------------------------------------------------------------------------
