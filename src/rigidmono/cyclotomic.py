@@ -530,8 +530,9 @@ def root_of_unity_order(z: CycNum) -> int | None:
     """The least m with z**m == 1, or None if z is not a root of unity.
 
     Roots of unity in Q(zeta_n) are exactly +-zeta_n^j, so an exact table
-    lookup against those 2n candidates decides the question; the order of
-    e^(2 pi i a) is the denominator of a = unit_log(z).
+    lookup against those 2n candidates decides the question.  With e = 1 for
+    the sign -1 and 0 for +1, +-zeta_n^j = e^(2 pi i (2j + e n) / 2n) has
+    order 2n / gcd(2j + e n, 2n), an integer read with no Fraction built.
 
     >>> root_of_unity_order(rational(-1))
     2
@@ -540,14 +541,22 @@ def root_of_unity_order(z: CycNum) -> int | None:
     >>> root_of_unity_order(rational(1) + zeta(4)) is None
     True
     """
-    a = unit_log(z)
-    return None if a is None else a.denominator
+    hit = _signed_exponent(z)
+    if hit is None:
+        return None
+    (sign, j), n = hit, z.conductor
+    return 2 * n // math.gcd(2 * j + (n if sign < 0 else 0), 2 * n)
+
+
+def _signed_exponent(z: CycNum) -> tuple[int, int] | None:
+    # (sign, j) with z = sign * zeta_n^j at z's conductor n, or None if z is
+    # not a root of unity; a root of unity is integral.
+    return _unit_index(z.conductor).get(z.num) if z.den == 1 else None
 
 
 def unit_log(z: CycNum) -> Fraction | None:
     """The a in [0, 1) with z = e^(2 pi i a), or None if z is not a root of unity."""
-    # (sign, exponent) with z = sign * zeta_n^exponent; a root of unity is integral.
-    hit = _unit_index(z.conductor).get(z.num) if z.den == 1 else None
+    hit = _signed_exponent(z)
     if hit is None:
         return None
     sign, j = hit

@@ -45,14 +45,32 @@ def transport_residues(rd: ResidueData, g: GaloisElement) -> ResidueData:
 
 
 def galois_orbit_eigen(e: EigenData) -> set[EigenData]:
-    """Orbit of eigenvalue data under all automorphisms of its field."""
+    """Orbit of eigenvalue data under all automorphisms of its field.
+
+    zeta_n -> zeta_n^k acts on a value at conductor m through k mod m alone,
+    so each distinct value is conjugated once per residue and a rational
+    value never; each value is hashed once, to find where it recurs.
+    """
     n = e.conductor()
     if n == 1:
         return {e}
-    return {conjugate_eigen(e, g) for g in galois_group(n)}
+    index = {}
+    slots = [[index.setdefault(v, len(index)) for v in pt] for pt in e.points]
+    images = [{} for _ in index]  # per distinct value: k mod its conductor -> image
+    orbit = set()
+    for g in galois_group(n):
+        conj = []
+        for v, seen in zip(index, images):
+            k = g.exponent % v.conductor
+            if k not in seen:
+                seen[k] = galois_apply(v, g) if v.conductor > 1 else v
+            conj.append(seen[k])
+        orbit.add(EigenData.of([[conj[i] for i in pt] for pt in slots]))
+    return orbit
 
 
 def conjugate_eigen(e: EigenData, g: GaloisElement) -> EigenData:
+    """The image of ``e`` under the one automorphism g."""
     return EigenData.of([[galois_apply(v, g) for v in pt] for pt in e.points])
 
 

@@ -7,8 +7,10 @@ determinants and characteristic polynomials).  Two routines rest on this.
 One incremental exact row echelon (``_echelon_add``), whose kept rows have
 rational integer pivots and so grow by one row's size per reduction, not by
 a factor, gives rank and kernel dimension and grows Burnside's span of words
-(``algebra_dim``).  One trace recursion (Faddeev-LeVerrier, which divides
-only by small integers) gives the characteristic polynomial and the inverse.
+(``algebra_dim``).  A matrix computes its characteristic polynomial once,
+and its determinant reads it: at rank 2 it is x^2 - tr(A) x + det(A), the
+determinant by the 2 x 2 formula; at rank r >= 3, and for the inverse, one
+trace recursion (Faddeev-LeVerrier, which divides only by small integers).
 Eigenvalues come from one exact rule on the characteristic polynomial p
 alone: every root (rational) x (root of unity) in a degree-bounded cyclotomic
 extension of p's coefficient field, plus the roots of a quadratic remainder
@@ -83,13 +85,14 @@ class Matrix:
     ``entries`` cache; the others take coordinates, and their entries are read
     off on first use.  Coordinates at one N are unique, so sums, products and
     == run on them at a common N, which may therefore exceed the entries'
-    least conductor.
+    least conductor.  The characteristic polynomial is computed on first use
+    and kept in a private slot, which ``charpoly`` and ``det`` both read.
 
     >>> Matrix.from_rows([[1, 2], [3, 4]]) @ Matrix.identity(2)
     Matrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries")
+    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries", "_charpoly")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
@@ -98,6 +101,7 @@ class Matrix:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, "
                              f"got {len(entries)}")
         ent = self._entries = tuple(entries)
+        self._charpoly = None
         n, den = math.lcm(*(e.conductor for e in ent)), math.lcm(*(e.den for e in ent))
         self.rows, self.cols, self.conductor, self.den = rows, cols, n, den
         self.num = tuple(_lift(tuple(c * (den // e.den) for c in e.num), e.conductor, n)
@@ -112,7 +116,8 @@ class Matrix:
         if g != 1:
             num, den = tuple(tuple(v // g for v in x) for x in num), den // g
         m = object.__new__(cls)
-        m.rows, m.cols, m.conductor, m.num, m.den, m._entries = rows, cols, n, num, den, None
+        m.rows, m.cols, m.conductor, m.num, m.den = rows, cols, n, num, den
+        m._entries = m._charpoly = None
         return m
 
     @classmethod
@@ -214,13 +219,17 @@ class Matrix:
                           self.den)
 
     def det(self) -> CycNum:
+        """(-1)^r c_0, read off the characteristic polynomial."""
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows == 2:
-            (a, b, c, d), n = self.num, self.conductor
-            return _normalize(n, _dot(n, ((a, d), (tuple(-v for v in b), c))), self.den ** 2)
-        d = charpoly(self).coeffs[0]
+        d = self._poly().coeffs[0]
         return d if self.rows % 2 == 0 else -d
+
+    def _poly(self) -> Polynomial:
+        # The characteristic polynomial of this square matrix, computed on first use.
+        if self._charpoly is None:
+            self._charpoly = _rank2_charpoly(self) if self.rows == 2 else _trace_recursion(self)[0]
+        return self._charpoly
 
     def inverse(self) -> Matrix:
         if not self.is_square():
@@ -410,10 +419,19 @@ def _full_span_mod_p(gens) -> bool:
 
 
 def charpoly(a: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - A), by the trace recursion."""
+    """Monic characteristic polynomial det(xI - A), computed once per matrix
+    and shared with ``Matrix.det``: x^2 - tr(A) x + det(A) at rank 2, the
+    trace recursion at every other rank."""
     if not a.is_square():
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    return _trace_recursion(a)[0]
+    return a._poly()
+
+
+def _rank2_charpoly(a: Matrix) -> Polynomial:
+    # x^2 - tr(A) x + det(A) for A = [[p, q], [r, s]]: det(A) = p s - q r over den^2.
+    (p, q, r, s), n = a.num, a.conductor
+    det = _normalize(n, _dot(n, ((p, s), (tuple(-v for v in q), r))), a.den ** 2)
+    return Polynomial((det, _normalize(n, [-x - y for x, y in zip(p, s)], a.den), one()))
 
 
 def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:

@@ -28,7 +28,9 @@ class MonodromyTuple:
     the product relation, so every instance in hand is a valid tuple.  A
     product equal to I proves every factor invertible, so the determinants
     are computed only to name a singular factor when it is not.  Its
-    ``det_data``, ``is_irreducible`` and ``mon`` are computed once, on first use.
+    ``det_data``, ``is_irreducible`` and ``mon`` are computed once, on first use,
+    and each factor's determinant is read off the characteristic polynomial
+    that the factor keeps, so ``dets`` after ``mon`` computes nothing new.
     """
 
     rank: int

@@ -192,8 +192,8 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> Matrix:
     check_keys(obj, {"rows", "cols", "entries"}, "matrix")
     rows, cols = obj.get("rows"), obj.get("cols")
-    _require(is_int(rows) and is_int(cols),
-             "matrix: 'rows' and 'cols' must be integers")
+    _require(is_int(rows) and is_int(cols) and rows >= 1 and cols >= 1,
+             "matrix: 'rows' and 'cols' must be positive integers")
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
              "matrix: expected {} entries", rows * cols)

@@ -425,6 +425,20 @@ def test_non_integer_in_integer_field_exit_1(capsys, command, payload):
     assert json.loads(out)["error"] == "schema-error"
 
 
+@pytest.mark.parametrize("rows, cols, entries", [
+    (-1, -1, ["1"]), (0, 0, []), (0, 3, []), (2, 0, []), (-2, -2, ["1", "0", "0", "1"])])
+def test_non_positive_matrix_dimensions_exit_1(capsys, rows, cols, entries):
+    # A negative pair used to match its entry count and -1 x -1, 0 x 0 and
+    # empty shapes reached Matrix: exit 2 shape-error.  Dimensions are part of
+    # the schema, as a coset's N < 1 is.
+    m = {"rows": rows, "cols": cols, "entries": entries}
+    for command in ("check", "mon", "orbit"):
+        status, out = run_cli(capsys, command, "--input", json.dumps({"matrices": [m, m, m]}))
+        assert status == 1
+        rep = json.loads(out)
+        assert rep["error"] == "schema-error" and "positive integers" in rep["message"]
+
+
 def test_empty_coset_checks_its_shape_first(capsys):
     # An "empty" coset used to skip the shape checks, so an N far above the
     # length of 'tau' built an N-wide relation row and a report of that size.

@@ -218,6 +218,17 @@ def test_root_of_unity_orders():
     assert root_of_unity_order(zero()) is None
 
 
+def test_root_of_unity_order_matches_unit_log():
+    # The integer order 2n / gcd(2j + e n, 2n) against the denominator of the
+    # Fraction unit_log, for every +-zeta_n^j with n <= 60.
+    for n in range(1, 61):
+        for j in range(n):
+            for z in (zeta(n, j), -zeta(n, j)):
+                assert root_of_unity_order(z) == unit_log(z).denominator
+    for z in (one() + zeta(4), rational(2), rational(Fraction(1, 2))):
+        assert root_of_unity_order(z) is None
+
+
 def test_root_of_unity_absent_for_one_plus_i():
     z = one() + zeta(4)
     # |1+i|^2 = 2 exactly, so no power can be 1.

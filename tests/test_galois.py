@@ -86,6 +86,21 @@ def test_orbit_of_zeta5_data():
     assert len(orbit) <= 4
 
 
+@pytest.mark.parametrize("n", [8, 24, 60])
+def test_orbit_equals_the_images_under_each_automorphism(n):
+    # The orbit conjugates each value once per residue; the reference maps the
+    # whole data by every automorphism of its field.  Mixed conductors,
+    # repeated and rational values come from the random data and the scalings.
+    rng = random.Random(n)
+    for s in (3, 5):
+        e = random_member_eigen(rng, s, (1, 2, 3), n=n)
+        f = EigenData.of([[v * rational(F(rng.choice((1, 2)), rng.choice((1, 3)))) for v in pt]
+                          for pt in e.points])
+        for d in (e, f):
+            assert galois_orbit_eigen(d) == {
+                conjugate_eigen(d, g) for g in galois_group(d.conductor())}
+
+
 def test_orbit_members_share_membership_verdict():
     rng = random.Random(45)
     spec = ComponentSpec.of(3, [1, 2, 3])

@@ -5,12 +5,17 @@ that binds them, so a call counts wherever it is made from.
 """
 import functools
 import json
+import math
 import random
 import sys
 
-from conftest import legendre_tuple, random_tuple
-from rigidmono import CycNum, EigenData, Matrix, MonodromyTuple, charpoly, one, zeta
-from rigidmono import monodromy
+from collections import Counter
+from fractions import Fraction
+
+from conftest import legendre_tuple, random_triangular_tuple, random_tuple
+from rigidmono import (CycNum, EigenData, Matrix, MonodromyTuple, charpoly, galois_orbit_eigen,
+                       one, rational, zeta)
+from rigidmono import cyclotomic, galois, monodromy
 from rigidmono import serialize as wire
 from rigidmono.cli import main
 
@@ -30,8 +35,8 @@ S7_JSON = json.dumps(wire.eigen_to_json(
     EigenData.of([[zeta(5), zeta(5, 4)]] * 3 + [[one(), one()]] * 4)))
 
 
-def _count_calls(monkeypatch, name):
-    original = getattr(monodromy, name)
+def _count_calls(monkeypatch, name, owner=monodromy):
+    original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -83,6 +88,35 @@ def test_check_validates_with_no_determinant(monkeypatch, capsys):
     dets = _count_dets(monkeypatch)
     _run(capsys, "check", "--input", json.dumps(wire.tuple_to_json(t)))
     assert dets == []
+
+
+def test_dets_after_mon_multiply_nothing(monkeypatch):
+    # Each determinant is the constant term of the characteristic polynomial
+    # that mon computed and the factor keeps, so dets reads it with no _dot
+    # once every factor split (past an unsplit one mon computes none).
+    rng = random.Random(26)
+    tuples = [legendre_tuple()] + [random_triangular_tuple(rng, n) for n in (1, 12, 24)]
+    want = [tuple(Matrix(2, 2, g.entries).det() for g in t.matrices) for t in tuples]
+    for t in tuples:
+        assert t.mon_data.eigen is not None
+    dots = _count_calls(monkeypatch, "_dot", owner=cyclotomic)
+    assert [t.dets for t in tuples] == want
+    assert dots == []
+
+
+def test_orbit_conjugates_each_value_once_per_residue(monkeypatch):
+    # Field Q(zeta_24): zeta_8 recurs, zeta_3 lies at a smaller conductor, and
+    # 2 and 1/2 are rational.  zeta_n -> zeta_n^k acts on a value at
+    # conductor m through k mod m, so the 8 automorphisms make phi(8) images of
+    # each conductor-8 value and phi(3) of zeta_3, and none of a rational.
+    e = EigenData.of([[zeta(8), zeta(8)], [zeta(3), rational(2)],
+                      [zeta(8, 3), rational(Fraction(1, 2))]])
+    calls = _count_calls(monkeypatch, "galois_apply", owner=galois)
+    orbit = galois_orbit_eigen(e)
+    assert Counter((v, g.exponent % v.conductor) for v, g in calls) == Counter(
+        (v, k) for v in (zeta(8), zeta(8, 3), zeta(3))
+        for k in range(1, v.conductor) if math.gcd(k, v.conductor) == 1)
+    assert len(orbit) == 8
 
 
 def test_singular_factor_with_a_broken_relation_exit_2(capsys):

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -449,6 +450,50 @@ def test_kernel_matches_the_per_entry_oracle(pair):
     # conductor 60), so rank 4 spans the words in one generator.
     gens = [a, b] if r < 4 else [a]
     assert algebra_dim(gens) == _oracle_algebra_dim(r, [g.entries for g in gens])
+
+
+@st.composite
+def _rank2_matrices(draw):
+    # A 2 x 2 matrix over Q(zeta_n) at the workloads' conductors, entries at
+    # divisors of n over small denominators.
+    n = draw(st.sampled_from((1, 3, 4, 8, 12, 24, 60)))
+    subs = [d for d in (1, 3, 4, 8, 12, 24, 60) if n % d == 0]
+
+    def entry():
+        d = draw(st.sampled_from(subs))
+        coeffs = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2, -3)), min_size=d, max_size=d))
+        den = draw(st.sampled_from((1, 2, 3, 7)))
+        return CycNum.from_coeffs([Fraction(c, den) for c in coeffs], d)
+    return Matrix(2, 2, tuple(entry() for _ in range(4)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rank2_matrices())
+def test_rank2_charpoly_matches_the_trace_recursion(a):
+    # x^2 - tr(A) x + det(A) against the generic recursion, the reference.
+    want = linalg._trace_recursion(a)[0]
+    assert charpoly(a) == want
+    assert a.det() == want.coeffs[0]
+
+
+def _oracle_leibniz_det(r, ent):
+    # sum over permutations s of sign(s) prod a_(i, s(i)).
+    total = zero()
+    for perm in itertools.permutations(range(r)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        term = rational(sign)
+        for i, j in enumerate(perm):
+            term = term * ent[i * r + j]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(3, 4).flatmap(_mixed_matrices))
+def test_det_is_the_signed_constant_term_of_the_recursion(a):
+    r = a.rows
+    c0 = linalg._trace_recursion(a)[0].coeffs[0]
+    assert a.det() == (c0 if r % 2 == 0 else -c0) == _oracle_leibniz_det(r, a.entries)
 
 
 def test_products_that_descend_match_the_oracle():
