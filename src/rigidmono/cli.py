@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,9 +75,10 @@ def _run_check(payload, cfg: RunConfig) -> dict:
 def _run_mon(payload, cfg: RunConfig) -> dict:
     t = wire.tuple_from_json(payload, cfg.conductor_cap)
     data = t.mon_data
-    return {"charpolys": [wire.polynomial_to_json(p) for p in data.charpolys],
-            "eigen": wire.eigen_to_json(data.eigen) if data.eigen else None,
-            "det": [wire.cyc_to_json(d) for d in t.dets]}
+    cyc = functools.cache(wire.cyc_to_json)  # one dict per distinct value, shared where it recurs
+    return {"charpolys": [wire.polynomial_to_json(p, cyc) for p in data.charpolys],
+            "eigen": wire.eigen_to_json(data.eigen, cyc) if data.eigen else None,
+            "det": [cyc(d) for d in t.dets]}
 
 
 def _run_classify(payload, cfg: RunConfig) -> dict:
@@ -91,7 +94,7 @@ def _run_construct(payload, cfg: RunConfig) -> dict:
     obj = wire.check_keys(payload, {"eigen", "spec"}, "construct input")
     e = wire.eigen_from_json(obj.get("eigen"), cfg.conductor_cap)
     spec = wire.spec_from_json(obj.get("spec"))
-    return wire.tuple_to_json(construct_representative(e, spec))
+    return wire.tuple_to_json(construct_representative(e, spec), functools.cache(wire.cyc_to_json))
 
 
 def _run_derham(payload, cfg: RunConfig) -> dict:
@@ -244,13 +247,43 @@ def _run_one(runner, payload, cfg: RunConfig) -> tuple[int, dict]:
         return 1, {"error": SchemaError.code, "message": "input nested too deeply"}
 
 
+_PLAIN_TEXT = re.compile(r"[ !#-\[\]-~]*")   # the strings _escape only quotes
+
+
+@functools.cache
+def _value_frame(indent: str) -> tuple[str, str, str, str]:
+    # The fixed text of a value dict at this indent: before the first string, between the two
+    # strings of a pair, between pairs, and after the last string up to the conductor.
+    i2, i4, i6 = indent + "  ", indent + "    ", indent + "      "
+    return (f'{{\n{i2}"c": [\n{i4}[\n{i6}"', f'",\n{i6}"', f'"\n{i4}],\n{i4}[\n{i6}"',
+            f'"\n{i4}]\n{i2}],\n{i2}"n": ')
+
+
+def _value_text(obj: dict, indent: str) -> str | None:
+    # The text of a value dict {"c": [[str, str], ...], "n": int}, "c" not empty and no string
+    # needing an escape, filled into one template; None for any other dict.
+    c, n = obj.get("c"), obj.get("n")
+    if len(obj) != 2 or type(c) is not list or not c or type(n) is not int:
+        return None
+    for pair in c:
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is str and type(pair[1]) is str):
+            return None
+    if not _PLAIN_TEXT.fullmatch("".join(itertools.chain.from_iterable(c))):
+        return None
+    head, mid, sep, tail = _value_frame(indent)
+    return f"{head}{sep.join(map(mid.join, c))}{tail}{wire.int_text(n)}\n{indent}}}"
+
+
 def _write(obj) -> str:
     # json.dumps(obj, indent=2, sort_keys=True) on dict, list, tuple, str, int, bool and None
     # only, subclasses refused: a container's text is one ",\n" + indent join over its items,
     # string items escaped inline, and framed by one f-string: a chain of + would copy a long
-    # body once per piece.  A dict that occurs more than once (the orbit report shares one per
-    # distinct value) is rendered once per indent: the memo keys on its id, which stays its
-    # own while the report holds it.
+    # body once per piece.  Each dict is rendered once: the memo keys on its id, which stays
+    # its own while the report holds it, and a dict that recurs at another depth (mon, orbit
+    # and construct share one per distinct value) is placed by one replace of the indent that
+    # follows each newline.  A value dict is filled into one template (_value_text), as the
+    # writer's commonest object; every other dict takes the generic walk.
     # Integers pass the report's digit guard, wire.int_text.
     memo = {}
 
@@ -266,15 +299,19 @@ def _write(obj) -> str:
         if t is dict:
             if not obj:
                 return "{}"
-            key = (id(obj), indent)
-            text = memo.get(key)
+            hit = memo.get(id(obj))
+            if hit is not None:
+                text, at = hit
+                return text if at == indent else text.replace("\n" + at, "\n" + indent)
+            text = _value_text(obj, indent)
             if text is None:
                 inner = indent + "  "
                 # _escape raises TypeError on a key that is not a str.
                 body = f",\n{inner}".join([
                     f"{_escape(k)}: {_escape(v) if type(v) is str else write(v, inner)}"
                     for k in sorted(obj) for v in (obj[k],)])
-                text = memo[key] = f"{{\n{inner}{body}\n{indent}}}"
+                text = f"{{\n{inner}{body}\n{indent}}}"
+            memo[id(obj)] = text, indent
             return text
         if t is str:
             return _escape(obj)

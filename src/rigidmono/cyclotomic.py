@@ -159,9 +159,21 @@ def _dot(n: int, pairs) -> list[int]:
     return [x + y for x, y in zip(conv, _combine(n, enumerate(conv[phi:], phi), phi))]
 
 
+@lru_cache(maxsize=None)
+def _exponent_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row j lists the nonzero (index, value) coordinates of zeta_n^(j*k), j < phi(n).
+    rows = _sparse_rows(n)
+    return tuple(rows[j * k % n] for j in range(euler_phi(n)))
+
+
 def _apply_exponent(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
     # zeta_n^j -> zeta_n^(j*k), extended linearly.
-    return tuple(_combine(n, ((j * k, c) for j, c in enumerate(num)), len(num)))
+    out = [0] * len(num)
+    for row, c in zip(_exponent_rows(n, k), num):
+        if c:
+            for i, v in row:
+                out[i] += c * v
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +341,11 @@ class CycNum:
 
     def __hash__(self):
         # The stored form is canonical, so equal values hash equal; a rational
-        # keeps the hash of its Fraction coordinates, (1, (q,)).
-        return hash((1, self.coeffs) if self.conductor == 1 else (self.conductor, self.num, self.den))
+        # keeps the hash of its Fraction coordinates, (1, (q,)), which for an
+        # integer p is the hash of (1, (p,)): no Fraction is built for it.
+        if self.conductor != 1:
+            return hash((self.conductor, self.num, self.den))
+        return hash((1, self.num if self.den == 1 else self.coeffs))
 
     # -- predicates ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import GaloisElement, galois_apply, galois_group, root_of_unity_order
+from .cyclotomic import GaloisElement, galois_apply, galois_group, root_of_unity_order, sort_key
 from .errors import Indeterminate, ShapeError
 from .linalg import Matrix
 from .monodromy import EigenData, MonodromyTuple, rank2_classify
@@ -49,7 +49,9 @@ def galois_orbit_eigen(e: EigenData) -> set[EigenData]:
 
     zeta_n -> zeta_n^k acts on a value at conductor m through k mod m alone,
     so each distinct value is conjugated once per residue and a rational
-    value never; each value is hashed once, to find where it recurs.
+    value never; each value is hashed once, to find where it recurs.  Each
+    conjugate is built directly from its points sorted by ``sort_key``, with
+    no conversion of the values, and ``EigenData`` still checks its shape.
     """
     n = e.conductor()
     if n == 1:
@@ -65,7 +67,8 @@ def galois_orbit_eigen(e: EigenData) -> set[EigenData]:
             if k not in seen:
                 seen[k] = galois_apply(v, g) if v.conductor > 1 else v
             conj.append(seen[k])
-        orbit.add(EigenData.of([[conj[i] for i in pt] for pt in slots]))
+        orbit.add(EigenData(e.rank, e.punctures, tuple(
+            tuple(sorted([conj[i] for i in pt], key=sort_key)) for pt in slots)))
     return orbit
 
 

@@ -86,13 +86,15 @@ class Matrix:
     off on first use.  Coordinates at one N are unique, so sums, products and
     == run on them at a common N, which may therefore exceed the entries'
     least conductor.  The characteristic polynomial is computed on first use
-    and kept in a private slot, which ``charpoly`` and ``det`` both read.
+    and kept in a private slot, which ``charpoly`` and ``det`` both read; so
+    is the scalar test, which validation, the centralizer count, Burnside's
+    span and the eigenvalue search all ask of each factor.
 
     >>> Matrix.from_rows([[1, 2], [3, 4]]) @ Matrix.identity(2)
     Matrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries", "_charpoly")
+    __slots__ = ("rows", "cols", "conductor", "num", "den", "_entries", "_charpoly", "_scalar")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 1 or cols < 1:
@@ -101,7 +103,7 @@ class Matrix:
             raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, "
                              f"got {len(entries)}")
         ent = self._entries = tuple(entries)
-        self._charpoly = None
+        self._charpoly = self._scalar = None
         n, den = math.lcm(*(e.conductor for e in ent)), math.lcm(*(e.den for e in ent))
         self.rows, self.cols, self.conductor, self.den = rows, cols, n, den
         self.num = tuple(_lift(tuple(c * (den // e.den) for c in e.num), e.conductor, n)
@@ -117,7 +119,7 @@ class Matrix:
             num, den = tuple(tuple(v // g for v in x) for x in num), den // g
         m = object.__new__(cls)
         m.rows, m.cols, m.conductor, m.num, m.den = rows, cols, n, num, den
-        m._entries = m._charpoly = None
+        m._entries = m._charpoly = m._scalar = None
         return m
 
     @classmethod
@@ -174,10 +176,12 @@ class Matrix:
         return self.rows == self.cols
 
     def is_scalar(self) -> bool:
-        """True iff the matrix equals entries[0] times the identity."""
-        d, step = self.num[0], self.rows + 1
-        return self.is_square() and all(x == d if i % step == 0 else not any(x)
-                                        for i, x in enumerate(self.num))
+        """True iff the matrix equals entries[0] times the identity; tested once."""
+        if self._scalar is None:
+            d, step = self.num[0], self.rows + 1
+            self._scalar = self.is_square() and all(x == d if i % step == 0 else not any(x)
+                                                    for i, x in enumerate(self.num))
+        return self._scalar
 
     def is_identity(self) -> bool:
         one_at_n = (1,) + (0,) * (len(self.num[0]) - 1)
@@ -210,7 +214,12 @@ class Matrix:
         return Matrix.from_coords(self.rows, m, n, num, self.den * other.den)
 
     def scale(self, value) -> Matrix:
-        return self @ Matrix.scalar(self.cols, value)
+        """The matrix times the scalar ``value``: one product per entry, no matrix product."""
+        value = value if isinstance(value, CycNum) else rational(value)
+        n = math.lcm(self.conductor, value.conductor)
+        v = _lift(value.num, value.conductor, n)
+        return Matrix.from_coords(self.rows, self.cols, n, tuple(
+            tuple(_dot(n, ((x, v),))) for x in self._at(n).num), self.den * value.den)
 
     def trace(self) -> CycNum:
         if not self.is_square():
@@ -434,11 +443,21 @@ def _rank2_charpoly(a: Matrix) -> Polynomial:
     return Polynomial((det, _normalize(n, [-x - y for x, y in zip(p, s)], a.den), one()))
 
 
+def _product_trace(a: Matrix, b: Matrix) -> tuple[int, list[int], int]:
+    """(n, coordinates at n, denominator) of tr(A B) for square A and B of one
+    size, n the lcm of their conductors: sum_ij a_ij b_ji, one ``_dot`` over
+    the r^2 pairs instead of the r^3 of the product A B."""
+    n, r = math.lcm(a.conductor, b.conductor), a.rows
+    x, y = a._at(n).num, b._at(n).num
+    t = _dot(n, ((x[i * r + j], y[j * r + i]) for i in range(r) for j in range(r)))
+    return n, t, a.den * b.den
+
+
 def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
     """Faddeev-LeVerrier: M_1 = I, c_(r-k) = -tr(A M_k) / k and
     M_(k+1) = A M_k + c_(r-k) I give det(xI - A) = sum c_i x^i.  Returns it
     with M_r, for which A M_r = -c_0 I (Cayley-Hamilton).  The last trace is
-    sum_ij a_ij (M_r)_ji, r^2 products instead of the product A M_r."""
+    ``_product_trace(A, M_r)``, r^2 products instead of the product A M_r."""
     r, n = a.rows, a.conductor
     coeffs, m, am = [one()] * (r + 1), None, a  # M_1 = I is built only if r = 1
     t, d = [sum(c) for c in zip(*a.num[::r + 1])], a.den  # tr(A M_k) = t / d
@@ -452,8 +471,7 @@ def _trace_recursion(a: Matrix) -> tuple[Polynomial, Matrix]:
                 am = a @ m
                 t, d = [sum(c) for c in zip(*am.num[::r + 1])], am.den
             else:
-                t, d = _dot(n, ((a.num[i * r + j], m.num[j * r + i])
-                                for i in range(r) for j in range(r))), a.den * m.den
+                _, t, d = _product_trace(a, m)
     return Polynomial(tuple(coeffs)), m or Matrix.identity(1)
 
 
@@ -643,7 +661,8 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
 
     The rule (``poly_roots_in_field``) reads the characteristic polynomial
     alone, so every basis of a local system gets the same answer.  A scalar
-    matrix, the same in every basis, returns its diagonal without it.
+    matrix, the same in every basis, returns its diagonal value r times
+    without it, that one value normalized from its coordinates.
 
     >>> eigenvalues_split(Matrix.from_rows([[1, 1], [0, 1]]))
     (CycNum(1), CycNum(1))
@@ -651,7 +670,7 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
     if not a.is_square():
         raise ShapeError("eigenvalues of a non-square matrix")
     if a.is_scalar():
-        return (a.entries[0],) * a.rows
+        return (_normalize(a.conductor, a.num[0], a.den),) * a.rows
     return poly_roots_in_field(charpoly(a) if poly is None else poly)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, _normalize, _product, one, rational
 from .errors import NotInComponent, NotOnModuli, ShapeError
-from .linalg import Matrix
+from .linalg import Matrix, _product_trace
 from .monodromy import EigenData, MonodromyTuple
 
 
@@ -54,11 +54,12 @@ def all_component_specs(s: int) -> list[ComponentSpec]:
 
 
 def trace_chart(t: MonodromyTuple) -> TraceChartPoint:
-    """Chart coordinates of a validated rank-2 tuple with 3 punctures."""
+    """Chart coordinates of a validated rank-2 tuple with 3 punctures; tr g_1 g_2
+    is summed from the entries, with no product g_1 g_2 formed."""
     if t.rank != 2 or t.punctures != 3:
         raise ShapeError("trace chart requires rank 2 and exactly 3 punctures")
     g1, g2, _ = t.matrices
-    return TraceChartPoint(g1.trace(), g2.trace(), (g1 @ g2).trace(),
+    return TraceChartPoint(g1.trace(), g2.trace(), _normalize(*_product_trace(g1, g2)),
                            t.dets[0].inverse(), t.dets[1].inverse())
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cyclotomic import CycNum, _normalize, _product, rational, sort_key
+from .cyclotomic import CycNum, _dot, _lift, _normalize, _product, rational, sort_key
 from .errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 from .linalg import (Matrix, Polynomial, _full_span_mod_p, algebra_dim, charpoly,
                      eigenvalues_split, rank_and_kernel_dim)
@@ -26,8 +26,13 @@ class MonodromyTuple:
 
     Construction validates the shape, the invertibility of every factor, and
     the product relation, so every instance in hand is a valid tuple.  A
-    product equal to I proves every factor invertible, so the determinants
-    are computed only to name a singular factor when it is not.  Its
+    scalar factor c_i I is central, so the relation folds it out of the
+    matrix products: the ordered product of the non-scalar factors must be
+    scalar with diagonal d, and d times c = prod c_i, formed on integer
+    coordinates at the tuple's conductor, must be 1: k non-scalar factors
+    make k - 1 matrix products, not s - 1.  A
+    relation that holds proves every factor invertible, so the determinants
+    are computed only to name a singular factor when it does not.  Its
     ``det_data``, ``is_irreducible`` and ``mon`` are computed once, on first use,
     and each factor's determinant is read off the characteristic polynomial
     that the factor keeps, so ``dets`` after ``mon`` computes nothing new.
@@ -46,10 +51,20 @@ class MonodromyTuple:
         for i, g in enumerate(self.matrices):
             if not (g.is_square() and g.rows == r):
                 raise ShapeError(f"matrix {i + 1} is not {r}x{r}")
-        prod = self.matrices[0]
-        for g in self.matrices[1:]:
-            prod = prod @ g
-        if not prod.is_identity():
+        prod = c = None  # the non-scalar product, and c's coordinates at n over den
+        for g in self.matrices:
+            if not g.is_scalar():
+                prod = g if prod is None else prod @ g
+                continue
+            if c is None:
+                n, den = math.lcm(*(h.conductor for h in self.matrices)), 1
+            a = _lift(g.num[0], g.conductor, n)
+            c, den = a if c is None else _dot(n, ((c, a),)), den * g.den
+        if c is not None and prod is not None and prod.is_scalar():  # fold its diagonal d into c
+            c = _dot(n, ((c, _lift(prod.num[0], prod.conductor, n)),))
+            den, prod = den * prod.den, None
+        if not (prod.is_identity() if c is None else
+                prod is None and c[0] == den and not any(c[1:])):
             # A singular factor makes the product singular, so it is found here.
             for i, d in enumerate(self.dets):
                 if not d:

@@ -184,9 +184,10 @@ def cyc_from_json(obj, what: str = "cyclotomic number",
 
 # -- matrices and tuples -----------------------------------------------------
 
-def matrix_to_json(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [cyc_to_json(v) for v in m.entries]}
+def matrix_to_json(m: Matrix, cyc=None) -> dict:
+    """The wire form of ``m``, each entry converted by ``cyc`` (default :func:`cyc_to_json`)."""
+    cyc = cyc or cyc_to_json
+    return {"rows": m.rows, "cols": m.cols, "entries": [cyc(v) for v in m.entries]}
 
 
 def matrix_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> Matrix:
@@ -209,9 +210,10 @@ def matrix_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> Matrix:
     return Matrix.from_coords(rows, cols, n, tuple(map(tuple, num)), den)
 
 
-def tuple_to_json(t: MonodromyTuple) -> dict:
+def tuple_to_json(t: MonodromyTuple, cyc=None) -> dict:
+    """The wire form of ``t``, each entry converted by ``cyc`` (default :func:`cyc_to_json`)."""
     return {"r": t.rank, "s": t.punctures,
-            "matrices": [matrix_to_json(m) for m in t.matrices]}
+            "matrices": [matrix_to_json(m, cyc) for m in t.matrices]}
 
 
 def tuple_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> MonodromyTuple:
@@ -268,8 +270,10 @@ def spec_from_json(obj) -> ComponentSpec:
 
 # -- polynomials and reports --------------------------------------------------
 
-def polynomial_to_json(p: Polynomial) -> list:
-    return [cyc_to_json(c) for c in p.coeffs]
+def polynomial_to_json(p: Polynomial, cyc=None) -> list:
+    """The coefficients of ``p``, each converted by ``cyc`` (default :func:`cyc_to_json`)."""
+    cyc = cyc or cyc_to_json
+    return [cyc(c) for c in p.coeffs]
 
 
 def rational_polynomial_to_json(p: Polynomial) -> list[str]:
@@ -363,4 +367,4 @@ def point_from_json(obj, what: str = "torsion point") -> list[Fraction]:
 
 
 def eigen_sort_key(e: EigenData):
-    return tuple(tuple(sort_key(v) for v in pt) for pt in e.points)
+    return tuple([tuple(map(sort_key, pt)) for pt in e.points])

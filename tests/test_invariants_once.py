@@ -119,6 +119,18 @@ def test_orbit_conjugates_each_value_once_per_residue(monkeypatch):
     assert len(orbit) == 8
 
 
+def test_mon_converts_each_distinct_value_once(monkeypatch, capsys):
+    # The Legendre tuple's report repeats 1, -1 and 2 across its polynomials,
+    # eigenvalues and determinants; each distinct value becomes one dict.
+    t = legendre_tuple()
+    values = [c for g in t.matrices for c in charpoly(g).coeffs]
+    values += [v for pt in t.mon_data.eigen.points for v in pt] + list(t.dets)
+    calls = _count_calls(monkeypatch, "cyc_to_json", owner=wire)
+    _run(capsys, "mon", "--input", LEGENDRE_JSON)
+    assert len(values) > len(set(values))
+    assert Counter(v for (v,) in calls) == Counter(set(values))
+
+
 def test_singular_factor_with_a_broken_relation_exit_2(capsys):
     # A singular factor makes the product singular, so it is still named.
     singular = {"rows": 2, "cols": 2, "entries": ["1", "1", "0", "0"]}
@@ -196,15 +208,19 @@ def _count_matmuls(monkeypatch):
     return products
 
 
-def test_validation_forms_s_minus_1_products(monkeypatch):
-    # The relation product starts from g_1, not from the identity.
+def test_validation_forms_k_minus_1_products(monkeypatch):
+    # The relation product starts from the first non-scalar factor, not from
+    # the identity, and the scalar factors, central, enter no matrix product:
+    # k non-scalar factors make k - 1 products.
     rng = random.Random(12)
     tuples = [random_tuple(rng, s) for s in (3, 4, 7)]
+    tuples += [random_tuple(rng, s, scalar_prob=0) for s in (3, 5)]
+    assert {sum(not g.is_scalar() for g in t.matrices) for t in tuples} >= {2, 3, 4, 5}
     products = _count_matmuls(monkeypatch)
     for t in tuples:
         products.clear()
         MonodromyTuple.of(t.matrices)
-        assert len(products) == t.punctures - 1
+        assert len(products) == sum(not g.is_scalar() for g in t.matrices) - 1
 
 
 def test_trace_recursion_skips_the_last_product(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import legendre_tuple, levelt_triple, monic, random_tuple
-from rigidmono import (EigenData, Matrix, MonodromyTuple, Polynomial, centralizer_dim,
+from rigidmono import (CycNum, EigenData, Matrix, MonodromyTuple, Polynomial, centralizer_dim,
                        common_eigenvector_exists, det_data, is_irreducible, katz_report, mon,
                        one, rank2_classify, rank_and_kernel_dim, rational, scalar_points, zero,
                        zeta)
@@ -48,6 +48,94 @@ def test_validation_rejects_broken_relation():
 def test_validation_rejects_singular_factor():
     with pytest.raises(NotInvertible):
         MonodromyTuple.of([M([[1, 1], [0, 0]]), Matrix.identity(2), Matrix.identity(2)])
+
+
+_FOLD_CONDUCTORS = (1, 3, 4, 8, 12, 24, 60)
+
+
+def _naive_validation(mats):
+    # The oracle: the ordered product of every factor, scalar or not, against
+    # I; when it fails, the first singular factor is named, else the relation.
+    prod = mats[0]
+    for g in mats[1:]:
+        prod = prod @ g
+    if prod == Matrix.identity(prod.rows):
+        return None
+    for i, g in enumerate(mats):
+        if not g.det():
+            return NotInvertible, f"matrix {i + 1} is singular"
+    return RelationViolation, "ordered product of the tuple is not the identity"
+
+
+@st.composite
+def _tuples_with_scalars(draw):
+    # A tuple closed by the inverse of its product, at rank 1-3 over Q(zeta_n),
+    # with scalar factors c I and c^-1 I inserted in pairs at random positions
+    # (c = -1, zeta_n or a random value), and at most one more scalar: 0 I, or
+    # one that breaks the relation.  With no non-scalar draw it is all scalar.
+    n, r = draw(st.sampled_from(_FOLD_CONDUCTORS)), draw(st.integers(1, 3))
+    subs = [d for d in _FOLD_CONDUCTORS if n % d == 0]
+
+    def value():
+        d = draw(st.sampled_from(subs))
+        coeffs = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=d, max_size=d))
+        return CycNum.from_coeffs([Fraction(c, draw(st.sampled_from((1, 2, 3)))) for c in coeffs],
+                                  d)
+
+    def unit():
+        c = draw(st.sampled_from((rational(-1), zeta(n), None)))
+        c = value() if c is None else c
+        assume(c)
+        return c
+
+    def insert(c):
+        mats.insert(draw(st.integers(0, len(mats))), Matrix.scalar(r, c))
+
+    mats = [Matrix(r, r, tuple(value() for _ in range(r * r)))
+            for _ in range(draw(st.integers(0, 3)))]
+    mats += [Matrix.scalar(r, unit()) for _ in range(draw(st.integers(0, 2)))]
+    mats = list(draw(st.permutations(mats)))
+    prod = Matrix.identity(r)
+    for g in mats:
+        prod = prod @ g
+    assume(prod.det())
+    mats.append(prod.inverse())
+    for _ in range(draw(st.integers(0, 3))):
+        c = unit()
+        insert(c)
+        insert(c.inverse())
+    breaker = draw(st.sampled_from((None, "zero", "off")))
+    if breaker == "zero":
+        insert(rational(0))
+    elif breaker == "off":
+        c = unit()
+        assume(c != one())
+        insert(c)
+    while len(mats) < 3:
+        insert(one())
+    return mats
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_tuples_with_scalars())
+def test_folded_validation_matches_the_ordered_product(mats):
+    # MonodromyTuple folds the central factors into one number; it accepts or
+    # refuses, naming the same factor, exactly as the ordered product does.
+    want = _naive_validation(mats)
+    try:
+        MonodromyTuple.of(mats)
+        got = None
+    except (NotInvertible, RelationViolation) as exc:
+        got = type(exc), str(exc)
+    assert got == want
+
+
+def test_fold_sees_a_scalar_non_scalar_product():
+    # g1 g2 = 2 I with g1, g2 non-scalar: the scalar factor 1/2 closes the relation, 1 does not.
+    g = M([[0, 1], [2, 0]])
+    assert MonodromyTuple.of([g, Matrix.scalar(2, Fraction(1, 2)), g]).punctures == 3
+    with pytest.raises(RelationViolation):
+        MonodromyTuple.of([g, Matrix.identity(2), g])
 
 
 def test_centralizer_dimensions_2_4_2():

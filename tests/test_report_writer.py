@@ -89,3 +89,66 @@ def test_writer_on_shared_subtrees_equals_json_dumps(parts, picks):
     for k in picks:
         obj = [obj, parts[k % len(parts)], {"k": parts[k % len(parts)]}]
     assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+digits = st.integers(-10 ** 30, 10 ** 30).map(str)
+value_dicts = st.builds(lambda n, c: {"n": n, "c": c}, st.integers(1, 240),
+                        st.lists(st.lists(digits, min_size=2, max_size=2), min_size=1, max_size=8))
+# Near misses of the value template, each to be written by the generic walk.
+near_misses = st.one_of(
+    st.builds(lambda n, c: {"n": n, "c": c}, st.integers(1, 240),
+              st.lists(st.one_of(st.lists(digits, max_size=3), st.tuples(digits, digits),
+                                 st.lists(st.one_of(st.integers(), st.none()),
+                                          min_size=2, max_size=2)), min_size=1, max_size=3)),
+    st.builds(lambda n, c: {"n": n, "c": c}, st.integers(1, 240),
+              st.lists(st.lists(texts, min_size=2, max_size=2), min_size=1, max_size=3)),
+    st.builds(lambda v, k, x: {**v, k: x}, value_dicts, texts.filter(lambda k: k not in "cn"),
+              scalars),
+    st.builds(lambda n: {"n": n, "c": []}, st.integers(1, 240)),
+    st.builds(lambda c: {"n": True, "c": c}, st.lists(st.lists(digits, min_size=2, max_size=2),
+                                                       min_size=1, max_size=2)),
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(value_dicts, near_misses, st.dictionaries(texts, trees, max_size=3)), trees,
+       st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_one_dict_at_several_depths_equals_json_dumps(shared, tree, depths):
+    # The same dict object placed at each drawn depth: rendered once, then
+    # re-indented wherever it recurs at another depth.
+    obj = [tree]
+    for depth in depths:
+        item = shared
+        for _ in range(depth):
+            item = [item] if depth % 2 else {"k": item}
+        obj.append(item)
+    obj.append({"again": shared, "z": [shared, [shared]]})
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value, templated", [
+    ({"n": 8, "c": [["1", "2"], ["-3", "1"]]}, True),
+    ({"n": 1, "c": [["0", "1"]]}, True),
+    ({"n": 8, "c": [["1", "2", "3"]]}, False),     # an item that is not a pair
+    ({"n": 8, "c": [("1", "2")]}, False),          # a tuple, not a list
+    ({"n": 8, "c": [[1, "2"]]}, False),            # a number, not a string
+    ({"n": 8, "c": [["1", Text("2")]]}, False),    # a str subclass
+    ({"n": 8, "c": [['"1', "2\\"]]}, False),       # strings that need escapes
+    ({"n": 8, "c": [["1\n", "2"]]}, False),
+    ({"n": 8, "c": [["é", "\x7f"]]}, False),
+    ({"n": 8, "c": [["1", "2"]], "d": 1}, False),  # an extra key
+    ({"n": 8, "c": []}, False),                    # an empty "c"
+    ({"n": True, "c": [["1", "2"]]}, False),       # a bool, not an int
+    ({"n": "8", "c": [["1", "2"]]}, False),
+    ({"m": 8, "c": [["1", "2"]]}, False),
+])
+def test_value_dicts_and_near_misses(value, templated):
+    # Only a value dict is filled into the template; every near miss takes the
+    # generic walk, which writes json.dumps's text or refuses a subclass.
+    assert (cli._value_text(value, "  ") is not None) == templated
+    for obj in (value, [value, {"a": [value]}]):
+        if any(type(x) is Text for pair in value.get("c", []) for x in pair):
+            with pytest.raises(TypeError):
+                dumps(obj)
+        else:
+            assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
