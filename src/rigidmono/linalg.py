@@ -21,10 +21,12 @@ alone accepts them, by p's exact value.  Either source may prove p unsplit:
 by its discriminant, or by too few roots mod q before any lift.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
-Z[zeta_N] -> F_p (``rank_and_kernel_dim``, ``_full_span_mod_p``).  Rank can
-only drop under it, so a full rank or a full span mod p is a proof; any other
-outcome leaves the answer to the exact echelon.  Too few roots mod q are the
-third such proof, and the root search's candidates the fourth modular path.
+Z[zeta_N] -> F_p (``rank_and_kernel_dim``, and ``_full_span_mod_p``, the
+irreducibility certificate at rank r >= 3; rank 2 is decided exactly by
+commutators, in ``monodromy``).  Rank can only drop under it, so a full rank
+or a full span mod p is a proof; any other outcome leaves the answer to the
+exact echelon.  Too few roots mod q are the third such proof, and the root
+search's candidates the fourth modular path.
 """
 from __future__ import annotations
 

@@ -5,7 +5,10 @@ product is the identity; it presents a framed local system on the projective
 line minus s points.  This module provides the simplicity (irreducibility)
 test, local centralizer dimensions, the rigidity count
 sum(dim Z_i) = (s-2) r^2 + 2, the rank-2 classification by non-scalar points,
-and the passage to local eigenvalue data.
+and the passage to local eigenvalue data.  Simplicity is Burnside's
+criterion: at rank 2 it is decided by one commutator per factor, exactly
+and with no span of words (``_rank2_irreducible``); at rank r >= 3 by the
+span of words, certified mod p or else exact.
 """
 from __future__ import annotations
 
@@ -193,10 +196,58 @@ def is_irreducible(t: MonodromyTuple) -> bool:
     the g_i span the full r x r matrix algebra.  The inverses need not be
     generators: by Cayley-Hamilton g^r + ... + c_1 g + c_0 = 0 with
     c_0 = +-det g nonzero, so g^-1 is a polynomial in g, and the words in the
-    g_i already span the group algebra of the monodromy group.  A full span
-    modulo a prime proves it (``linalg._full_span_mod_p``); otherwise the exact
-    span decides."""
+    g_i already span the group algebra of the monodromy group.  At rank 2 one
+    commutator per factor decides it (``_rank2_irreducible``), with no span.
+    At rank r >= 3 a full span modulo a prime proves it
+    (``linalg._full_span_mod_p``); otherwise the exact span decides."""
+    if t.rank == 2:
+        return _rank2_irreducible(t.matrices)
     return _full_span_mod_p(t.matrices) or algebra_dim(t.matrices) == t.rank * t.rank
+
+
+def _rank2_irreducible(gens) -> bool:
+    """Burnside's verdict on 2 x 2 matrices, by commutators (Shemesh, Linear
+    Algebra Appl. 62, 1984: A and B share an eigenvector iff det(AB - BA) = 0).
+
+    With h_1, ..., h_k the non-scalar factors (k < 2 is reducible), A = h_1
+    and C_j = A h_j - h_j A, take the first C_j != 0.  If det C_j != 0, A and
+    h_j share no eigenvector: the tuple is irreducible.  If det C_j = 0, C_j
+    is nilpotent of rank 1, and a common line of the tuple makes every factor
+    triangular in a basis that starts with it, so it is the image v of C_j:
+    the tuple is reducible iff every h_i keeps v.  If every C_j = 0, every
+    factor lies in K[A], which is commutative: reducible.  The steps run on
+    integer numerators at n, the lcm of their conductors (denominators only
+    scale C and v).
+    """
+    hs = [g for g in gens if not g.is_scalar()]
+    if len(hs) < 2:
+        return False
+    n = math.lcm(*(g.conductor for g in hs))
+    nums = ([_lift(x, g.conductor, n) for x in g.num] for g in hs)
+    return _no_common_line(n, [(b, c, [x - y for x, y in zip(a, d)]) for a, b, c, d in nums])
+
+
+def _no_common_line(n, etas) -> bool:
+    # The steps of _rank2_irreducible on h = [[a, b], [c, d]], given as
+    # (b, c, a - d): integer coordinate vectors at conductor n.  Then
+    # C = [[x, y], [z, -x]] reads off the cross product of A's and h's
+    # triples, and h keeps the line v iff c v1^2 - (a - d) v1 v2 - b v2^2 = 0.
+    def neg(v):
+        return [-e for e in v]
+    a = etas[0]
+    for h in etas[1:]:
+        x = _dot(n, ((a[0], h[1]), (neg(a[1]), h[0])))
+        y = _dot(n, ((a[2], h[0]), (neg(a[0]), h[2])))
+        z = _dot(n, ((a[1], h[2]), (neg(a[2]), h[1])))
+        if any(x) or any(y) or any(z):
+            break
+    else:
+        return False  # every factor commutes with A
+    if any(_dot(n, ((x, x), (y, z)))):
+        return True  # -det C_j
+    v1, v2 = (x, z) if any(x) or any(z) else (y, neg(x))
+    keep = (neg(_dot(n, ((v2, v2),))), _dot(n, ((v1, v1),)), neg(_dot(n, ((v1, v2),))))
+    return any(any(_dot(n, zip(h, keep))) for h in etas)
 
 
 def common_eigenvector_exists(t: MonodromyTuple) -> bool | None:

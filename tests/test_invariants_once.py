@@ -12,10 +12,10 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from conftest import legendre_tuple, random_triangular_tuple, random_tuple
+from conftest import legendre_tuple, levelt_triple, random_triangular_tuple, random_tuple
 from rigidmono import (CycNum, EigenData, Matrix, MonodromyTuple, charpoly, galois_orbit_eigen,
                        one, rational, zeta)
-from rigidmono import cyclotomic, galois, monodromy
+from rigidmono import cyclotomic, galois, linalg, monodromy
 from rigidmono import serialize as wire
 from rigidmono.cli import main
 
@@ -67,6 +67,25 @@ def test_orbit_runs_mon_and_burnside_once(monkeypatch, capsys):
     _run(capsys, "orbit", "--input", LEGENDRE_JSON)
     assert len(mons) == 1
     assert len(burnside) == 1
+
+
+def test_rank2_burnside_spans_no_words(monkeypatch, capsys):
+    # Rank 2 is decided by commutators: neither the span certificate nor the
+    # exact span runs, for irreducible and reducible, rational and cyclotomic
+    # tuples.  A reducible rank-3 Levelt triple still takes both.
+    spans = _count_calls(monkeypatch, "_full_span_mod_p", linalg)
+    exact = _count_calls(monkeypatch, "algebra_dim", linalg)
+    rank2 = [legendre_tuple(), random_triangular_tuple(random.Random(5)),
+             levelt_triple([zeta(5), zeta(5, 2)], [one(), zeta(12)])]
+    for t in rank2:
+        text = json.dumps(wire.tuple_to_json(t))
+        _run(capsys, "check", "--input", text)
+        main(["orbit", "--input", text])
+    capsys.readouterr()
+    assert spans == [] and exact == []
+    rank3 = levelt_triple([one(), zeta(3), zeta(3, 2)], [one(), zeta(4), -one()])
+    _run(capsys, "check", "--input", json.dumps(wire.tuple_to_json(rank3)))
+    assert len(spans) == 1 and len(exact) == 1
 
 
 def _count_dets(monkeypatch):

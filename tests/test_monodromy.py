@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from rigidmono import (CycNum, EigenData, Matrix, MonodromyTuple, Polynomial, ce
 from rigidmono.cyclotomic import cyclotomic_polynomial
 from rigidmono.errors import NotApplicable, NotInvertible, RelationViolation, ShapeError
 from rigidmono.linalg import _full_span_mod_p, _is_prime, _prime_and_root, algebra_dim
+from rigidmono.monodromy import _rank2_irreducible
 
 M = Matrix.from_rows
 
@@ -235,6 +237,106 @@ def test_burnside_on_the_generators_alone_agrees_with_the_inverse_closure(drawn)
     assert is_irreducible(t) == _burnside_with_inverses(t)
     if split:
         assert not is_irreducible(t)
+
+
+def _closed(gens) -> MonodromyTuple:
+    # gens closed by the inverse of their product: a tuple that generates the
+    # same algebra, since the inverse is a polynomial in the product.
+    prod = gens[0]
+    for g in gens[1:]:
+        prod = prod @ g
+    return MonodromyTuple.of(list(gens) + [prod.inverse()])
+
+
+def _eigenlines(line1, line2, lam1, lam2) -> Matrix:
+    # The matrix with eigenvalue lam1 on line1 and lam2 on line2.
+    p = Matrix.from_rows([[line1[0], line2[0]], [line1[1], line2[1]]])
+    return p @ Matrix.from_rows([[lam1, 0], [0, lam2]]) @ p.inverse()
+
+
+@st.composite
+def _rank2_generators(draw):
+    # (kind, 2 x 2 generators) over Q(zeta_n), conjugated by a random
+    # invertible P.  Reducible kinds: upper-triangular lists, diagonal ones,
+    # and lists commuting with a non-scalar A; a Jordan-block A with
+    # triangular or random partners; random lists; and "three lines", where
+    # each pair of A, B, C shares an eigenvector and the triple shares none.
+    # Half the lists carry a scalar generator too.
+    n = draw(st.sampled_from([1, 3, 4, 5, 8, 12, 24, 60]))
+    kind = draw(st.sampled_from(["upper", "diagonal", "jordan", "commuting", "random",
+                                 "three lines"]))
+
+    def entry(values=(0, 1, -1, 2, Fraction(1, 2), 3)):
+        return rational(draw(st.sampled_from(values))) * zeta(n, draw(st.integers(0, n - 1)))
+
+    def unit():
+        return entry((1, -1, 2, Fraction(1, 2), 3))
+
+    def upper():
+        return M([[unit(), entry()], [0, unit()]])
+
+    def full():
+        return M([[entry(), entry()], [entry(), entry()]])
+
+    count = draw(st.integers(2, 4))
+    if kind == "upper":
+        gens = [upper() for _ in range(count)]
+    elif kind == "diagonal":
+        gens = [M([[unit(), 0], [0, unit()]]) for _ in range(count)]
+    elif kind == "jordan":
+        lam, partner = unit(), upper if draw(st.booleans()) else full
+        gens = [M([[lam, 1], [0, lam]])] + [partner() for _ in range(count - 1)]
+    elif kind == "commuting":
+        a = full()
+        assume(not a.is_scalar())
+        gens = [a] + [a.scale(entry()) + Matrix.scalar(2, entry()) for _ in range(count - 1)]
+    elif kind == "random":
+        gens = [full() for _ in range(count)]
+    else:
+        lines = [(1, 0), (0, 1), (1, 1)]
+        gens = [_eigenlines(lines[i], lines[j], unit(), unit())
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), Matrix.scalar(2, unit()))
+    assume(all(g.det() for g in gens))
+    p = full()
+    assume(p.det())
+    pinv = p.inverse()
+    return kind, [p @ g @ pinv for g in gens]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rank2_generators())
+def test_rank2_commutator_criterion_matches_the_exact_span(drawn):
+    # The oracle is the exact span of the words; the common-eigenvector search
+    # agrees wherever the first non-scalar factor splits.
+    kind, gens = drawn
+    verdict = _rank2_irreducible(gens)
+    assert verdict == (algebra_dim(gens) == 4)
+    if kind in ("upper", "diagonal", "commuting"):
+        assert not verdict
+    t = _closed(gens)
+    assert is_irreducible(t) == verdict
+    ce = common_eigenvector_exists(t)
+    assert ce is None or ce is not verdict
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_three_lines_share_no_eigenvector(n):
+    # A keeps e1 and e2, B keeps e1 and (1, 1), C keeps e2 and (1, 1): every
+    # pair shares an eigenvector, so every commutator is singular, but the
+    # triple shares none.  Unconjugated, A B - B A = [[0, y], [0, 0]], whose
+    # first column is 0: its image line is read off the second.
+    u = zeta(n)
+    a = _eigenlines((1, 0), (0, 1), u, 2)
+    b = _eigenlines((1, 0), (1, 1), 3, u)
+    c = _eigenlines((0, 1), (1, 1), -u, Fraction(1, 2))
+    h = M([[2, 1], [1, 1]])
+    for gens in ([a, b, c], [h @ g @ h.inverse() for g in (a, b, c)]):
+        assert all(not _rank2_irreducible(pair) and algebra_dim(pair) < 4
+                   for pair in itertools.combinations(gens, 2))
+        assert _rank2_irreducible(gens) and algebra_dim(gens) == 4
+        assert is_irreducible(_closed(gens))
 
 
 def test_katz_report_legendre():

@@ -9,9 +9,11 @@ half of them.  ``monodromy.is_irreducible`` runs on each (as the tuple's
 cached ``irreducible``), and one SHA-256 over the (tuple, verdict) pairs is
 printed, so two checkouts print equal hashes exactly when they give every
 tuple the same verdict.  A second SHA-256 covers the (tuple, centralizer
-dimensions) pairs of ``katz_report``, timed apart.  Where the checkout has
-the modular certificate (``linalg._full_span_mod_p``), the counts of tuples
-it certified and of those left to the exact span are printed too.
+dimensions) pairs of ``katz_report``, timed apart.  Each group also counts
+the tuples by the decision steps ``is_irreducible`` called for them, by name
+and number of calls, of those the checkout has: the rank-2 commutator
+criterion (``monodromy._no_common_line``), and Burnside's span certificate
+(``linalg._full_span_mod_p``) and exact span (``algebra_dim``).
 
     python tools/burnside_parity.py --seeds 1 2
     python tools/burnside_parity.py --root ../other-checkout --seeds 1 2
@@ -19,6 +21,7 @@ it certified and of those left to the exact span are printed too.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import random
@@ -39,9 +42,19 @@ def main() -> int:
     sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
     import corpus
     from rigidmono import Matrix, MonodromyTuple, katz_report, one, zero, zeta
-    from rigidmono import linalg
+    from rigidmono import monodromy
     from rigidmono import serialize as wire
-    certificate = getattr(linalg, "_full_span_mod_p", None)
+    steps = collections.Counter()  # the decision steps that one verdict called, by name
+
+    def recorded(name, step):
+        def call(*args):
+            steps[name] += 1
+            return step(*args)
+        return call
+    found = [name for name in ("_no_common_line", "_full_span_mod_p", "algebra_dim")
+             if hasattr(monodromy, name)]
+    for name in found:
+        setattr(monodromy, name, recorded(name, getattr(monodromy, name)))
 
     def companion(roots):
         c = [one()]  # prod(x - z), lowest degree first
@@ -79,10 +92,13 @@ def main() -> int:
 
     digest, dims_digest = hashlib.sha256(), hashlib.sha256()
     for name, tuples in groups.items():
-        irreducible, t0 = 0, time.perf_counter()
+        irreducible, decided, t0 = 0, collections.Counter(), time.perf_counter()
         for t in tuples:
+            steps.clear()
             verdict = t.irreducible  # is_irreducible, cached for katz_report below
             irreducible += verdict
+            decided[" + ".join(name if k == 1 else f"{name} x{k}"
+                               for name, k in steps.items()) or "no step"] += 1
             digest.update(json.dumps([wire.tuple_to_json(t), verdict],
                                      separators=(",", ":")).encode() + b"\n")
         elapsed, t0 = time.perf_counter() - t0, time.perf_counter()
@@ -91,11 +107,8 @@ def main() -> int:
             dims_digest.update(json.dumps([wire.tuple_to_json(t), dims],
                                           separators=(",", ":")).encode() + b"\n")
         dims_s = time.perf_counter() - t0
-        if certificate is not None:
-            certified = sum(certificate(t.matrices) for t in tuples)
-            counts = f"  {certified} certified  {len(tuples) - certified} fallbacks"
-        else:
-            counts = "  (no modular certificate)"
+        counts = ("".join(f"  {count} {step}" for step, count in sorted(decided.items()))
+                  if found else "  (no decision steps found)")
         print(f"{name:16s} {len(tuples):4d} tuples  {irreducible} irreducible{counts}  "
               f"{elapsed:.3f} s  centralizers {dims_s:.3f} s")
     print(f"seeds {' '.join(map(str, args.seeds))}  sha256 {digest.hexdigest()}  "
