@@ -372,18 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)   # one parser per process, built by the first main()
+_parser = functools.cache(build_parser)   # one parser per process, built when first needed
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    # What build_parser().parse_args(argv) returns for [command, "--input", value], the one
+    # shape every request sends (test_plain_args_are_what_argparse_returns); None otherwise.
+    if (argv is None or len(argv) != 3 or argv[0] not in _COMMANDS or argv[1] != "--input"
+            or (argv[2].startswith("-") and argv[2] != "-")):
+        return None
+    return argparse.Namespace(command=argv[0], input=argv[2], output=None, order_bound=12,
+                              conductor_cap=wire.DEFAULT_CONDUCTOR_CAP, batch=False,
+                              describe_schema=None)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     if args.describe_schema:
         return _emit(0, _COMMANDS[args.describe_schema][1], args.output)
     if not args.command:
-        parser.error("a command is required (or use --describe-schema)")
+        _parser().error("a command is required (or use --describe-schema)")
     if args.order_bound < 1 or args.conductor_cap < 1:
-        parser.error("budgets must be positive")
+        _parser().error("budgets must be positive")
     cfg = RunConfig(args.command, args.input, args.output,
                     args.order_bound, args.conductor_cap, args.batch)
     status, report = run(cfg)

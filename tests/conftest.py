@@ -7,10 +7,20 @@ so every generated tuple satisfies the product identity exactly.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from rigidmono import (ComponentSpec, EigenData, Matrix, MonodromyTuple, component_membership,
                        one, rational, zero, zeta)
+from rigidmono.cli import COMMANDS
+
+# CLI argument tokens: every command, exact and abbreviated options (--o is ambiguous), attached
+# values, --, help and --describe-schema; --output and -o are left to tests that write no file.
+# The values are those argparse and int() read differently from a plain string or integer.
+ARGV_TOKENS = [*COMMANDS, "bogus", "--input", "-i", "--order-bound", "--conductor-cap", "--batch",
+               "--inp", "--o", "--order", "--input=X", "-iX", "--", "-h", "--describe-schema"]
+ARGV_VALUES = ["-", "", "{}", " -x", "-5", "0", "+12", " 12", "1_2", "\u0663", "x",
+               "9" * (sys.get_int_max_str_digits() + 1)]
 
 LEGENDRE_MATRICES = (
     Matrix.from_rows([[1, -1], [4, -3]]),

@@ -4,12 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import legendre_eigen, legendre_tuple, levelt_triple
+from conftest import ARGV_TOKENS, ARGV_VALUES, legendre_eigen, legendre_tuple, levelt_triple
 from rigidmono import Matrix, rational, sort_key, zeta
 from rigidmono import serialize as wire
 from rigidmono import cli
-from rigidmono.cli import COMMANDS, main
+from rigidmono.cli import COMMANDS, build_parser, main
 from rigidmono.tori import NONSIMPLE_LOCUS_MAX_S
 
 LEGENDRE_JSON = json.dumps(wire.tuple_to_json(legendre_tuple()))
@@ -570,3 +572,67 @@ def test_unwritable_output_exit_1(tmp_path, capsys, argv):
     assert captured.out == ""
     assert "No such file or directory" in captured.err
     assert not target.exists()
+
+
+# Half the lists are three tokens near the plain path's shape [command, "--input", value], the
+# value drawn from the options too; the rest mix options, values and commands freely.
+argvs = st.one_of(
+    st.tuples(st.sampled_from([*COMMANDS, "bogus", "--input"]),
+              st.sampled_from(["--input", "-i", "--inp", "--batch", "check"]),
+              st.sampled_from(ARGV_VALUES + ARGV_TOKENS)).map(list),
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(["--input", "-i", "--output", "-o", "--order-bound",
+                                   "--conductor-cap", "--order", "--describe-schema"]),
+                  st.sampled_from(ARGV_VALUES + list(COMMANDS))).map(list),
+        st.sampled_from(ARGV_TOKENS + ["--output", "-o"] + ARGV_VALUES).map(lambda t: [t])),
+        max_size=6).map(lambda items: [t for item in items for t in item]))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(argvs)
+@example([])
+@example(["check", "--input", "-"])
+@example(["orbit", "--input", " -x"])
+@example(["check", "--input", "--batch"])
+@example(["check", "--input", "-5"])
+@example(["--input", "{}", "check"])
+def test_plain_args_are_what_argparse_returns(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    try:
+        parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv!r}, which the plain path reads")
+    assert vars(plain) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required (or use --describe-schema)"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'check', 'mon', "
+                "'classify', 'construct', 'derham', 'orbit', 'tori')"),
+    (["check", "--order-bound", "x"], "argument --order-bound: invalid int value: 'x'"),
+    (["check", "--order-bound", "0"], "budgets must be positive"),
+    (["check", "--conductor-cap", "0"], "budgets must be positive"),
+    (["check", "--input"], "argument --input/-i: expected one argument"),
+    (["check", "--o", "3"], "ambiguous option: --o could match --output, --order-bound"),
+], ids=["no-command", "bogus", "bound-x", "bound-0", "cap-0", "no-value", "ambiguous"])
+def test_usage_error_exit_1(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"rigidmono: error: {message}\n")
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+def test_abbreviated_option_reads_as_the_full_one(capsys):
+    full = run_cli(capsys, "check", "--input", LEGENDRE_JSON)
+    assert full[0] == 0
+    assert run_cli(capsys, "check", "--inp", LEGENDRE_JSON) == full

@@ -6,7 +6,8 @@ integers up to 10^3, ``[p, q]`` pairs), some well-formed and some not;
 integer fields also draw ``true`` and ``false``, a coset's ``empty`` flag
 draws non-booleans, and its ``N`` sometimes runs far past its translate.  A
 malformed scalar must exit 1, whatever it is malformed by, and a
-``nonsimple_locus`` request past the budget on s must exit 3.
+``nonsimple_locus`` request past the budget on s must exit 3.  Argument lists
+are fuzzed too: a usage error or help ends in ``SystemExit`` 1 or 0.
 """
 import contextlib
 import io
@@ -17,6 +18,7 @@ from datetime import timedelta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ARGV_TOKENS, ARGV_VALUES
 from rigidmono import Matrix, rational, zeta
 from rigidmono import serialize as wire
 from rigidmono.cli import COMMANDS, _TORI_OPS, main
@@ -221,3 +223,23 @@ def test_nonsimple_locus_beyond_its_budget_exits_3(s, data):
                "point": [data.draw(st.builds("{}/{}".format, ints, st.integers(1, 9)))] * (2 * s)}
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["tori", "--input", json.dumps(payload)]) == 3
+
+
+SMALL_PAYLOAD = json.dumps({"op": "enumerate", "coset": {"N": 1, "L": [[2]], "tau": ["0"]},
+                            "order_bound": 4})
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(st.lists(st.sampled_from(ARGV_TOKENS + ARGV_VALUES), max_size=6))
+def test_every_argv_exits_0_to_3(tokens):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(SMALL_PAYLOAD)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = main(["--input", SMALL_PAYLOAD, *tokens])
+    except SystemExit as exc:
+        assert exc.code in (0, 1)
+    else:
+        assert status in (0, 1, 2, 3)
+    finally:
+        sys.stdin = stdin

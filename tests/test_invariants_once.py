@@ -3,6 +3,7 @@
 The counters wrap the public analysis functions in every package namespace
 that binds them, so a call counts wherever it is made from.
 """
+import argparse
 import functools
 import json
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 from conftest import legendre_tuple, levelt_triple, random_triangular_tuple, random_tuple
 from rigidmono import (CycNum, EigenData, Matrix, MonodromyTuple, charpoly, galois_orbit_eigen,
                        one, rational, zeta)
-from rigidmono import cyclotomic, galois, linalg, monodromy
+from rigidmono import cli, cyclotomic, galois, linalg, monodromy
 from rigidmono import serialize as wire
 from rigidmono.cli import main
 
@@ -286,3 +287,21 @@ def test_classify_multiplies_no_cycnum(monkeypatch, capsys):
     monkeypatch.setattr(CycNum, "__rmul__", counted)
     _run(capsys, "classify", "--input", S7_JSON)
     assert calls == []
+
+
+def test_plain_argv_builds_no_parser(monkeypatch, capsys):
+    # Exact spellings are read without argparse; an abbreviation still goes through it.
+    builds = _count_calls(monkeypatch, "build_parser", owner=cli)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+    parses = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    _run(capsys, "check", "--input", LEGENDRE_JSON)
+    assert (len(builds), len(parses)) == (0, 0)
+    _run(capsys, "check", "--inp", LEGENDRE_JSON)
+    assert (len(builds), len(parses)) == (1, 1)
