@@ -159,23 +159,6 @@ def _dot(n: int, pairs) -> list[int]:
     return [x + y for x, y in zip(conv, _combine(n, enumerate(conv[phi:], phi), phi))]
 
 
-@lru_cache(maxsize=None)
-def _exponent_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row j lists the nonzero (index, value) coordinates of zeta_n^(j*k), j < phi(n).
-    rows = _sparse_rows(n)
-    return tuple(rows[j * k % n] for j in range(euler_phi(n)))
-
-
-def _apply_exponent(n: int, num: tuple[int, ...], k: int) -> tuple[int, ...]:
-    # zeta_n^j -> zeta_n^(j*k), extended linearly.
-    out = [0] * len(num)
-    for row, c in zip(_exponent_rows(n, k), num):
-        if c:
-            for i, v in row:
-                out[i] += c * v
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Conductor descent.
 
@@ -607,7 +590,8 @@ def galois_apply(z: CycNum, g: GaloisElement) -> CycNum:
 
     An automorphism maps each subfield Q(zeta_m) onto itself and permutes the
     power basis up to an integer change of basis, so the image keeps z's
-    conductor and denominator.
+    conductor and denominator: zeta_n^j -> zeta_n^(j k), substituted through
+    ``_combine``'s sparse rows as ``_lift`` does.
 
     >>> galois_apply(zeta(12), GaloisElement(12, 5)) == zeta(12, 5)
     True
@@ -618,7 +602,8 @@ def galois_apply(z: CycNum, g: GaloisElement) -> CycNum:
     if g.conductor % n != 0:
         raise FieldMismatch(
             f"element at conductor {n} is outside Q(zeta_{g.conductor})")
-    return _make(n, _apply_exponent(n, z.num, g.exponent % n), z.den)
+    num, k = z.num, g.exponent
+    return _make(n, tuple(_combine(n, zip(range(0, k * len(num), k), num), len(num))), z.den)
 
 
 def galois_group(n: int) -> list[GaloisElement]:

@@ -18,7 +18,7 @@ whose discriminant is such a number squared.  Roots are only proposed, by a
 rational quadratic's integer discriminant or else by one search modulo a
 small prime, lifted to a power of it (``_unit_roots``); ``Polynomial.deflate``
 alone accepts them, by p's exact value.  Either source may prove p unsplit:
-by its discriminant, or by too few roots mod q before any lift.
+by its discriminant, or by too few roots mod q before any root is lifted.
 
 Ranks and Burnside's span are first found over F_p, by a ring map
 Z[zeta_N] -> F_p (``rank_and_kernel_dim``, and ``_full_span_mod_p``, the
@@ -26,7 +26,12 @@ irreducibility certificate at rank r >= 3; rank 2 is decided exactly by
 commutators, in ``monodromy``).  Rank can only drop under it, so a full rank
 or a full span mod p is a proof; any other outcome leaves the answer to the
 exact echelon.  Too few roots mod q are the third such proof, and the root
-search's candidates the fourth modular path.
+search's candidates the fourth modular path.  All four rest on one ring map,
+``_image``: coordinates at a conductor m dividing n go to Z/mod under
+zeta_n -> w, so zeta_m -> w^(n/m), mod p for the certificates and mod q^e
+for the root search.  Its exact side is ``cyclotomic``'s sparse rows of the
+powers of zeta_n, through which ``_lift`` moves a value to a multiple
+conductor and ``galois_apply`` substitutes zeta_n -> zeta_n^k.
 """
 from __future__ import annotations
 
@@ -304,7 +309,7 @@ def rank_and_kernel_dim(a: Matrix) -> tuple[int, int]:
     number of rows it keeps."""
     basis, rows, c, n = [], [], a.cols, a.conductor
     p, w = _prime_and_root(n)
-    img = _images_mod_p(a.num, n, p, w)
+    img = [_image(x, n, n, w, p) for x in a.num]
     rank = sum(_add_mod_p(basis, img[i:i + c], p) for i in range(0, len(img), c))
     if rank < min(a.rows, c):
         rank = sum(_echelon_add(rows, a.num[i:i + c], n) for i in range(0, len(a.num), c))
@@ -381,10 +386,18 @@ def _prime_and_root(n: int, least: int = 2 ** 30) -> tuple[int, int]:
             return p, w
 
 
-def _images_mod_p(nums, m: int, p: int, u: int) -> list[int]:
-    # The images in F_p of coordinate vectors at conductor m, under zeta_m -> u.
-    powers = [pow(u, k, p) for k in range(euler_phi(m))]
-    return [sum(map(operator.mul, v, powers)) % p for v in nums]
+def _horner(f: list[int], x: int, m: int) -> int:
+    # f(x) mod m, for integer coefficients f, lowest degree first.
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _image(num, m: int, n: int, w: int, mod: int) -> int:
+    # The image in Z/mod of the coordinates num at a conductor m dividing n,
+    # under the ring map zeta_n -> w, so zeta_m -> w^(n/m).
+    return _horner(num, pow(w, n // m, mod), mod)
 
 
 def _add_mod_p(basis: list, v, p: int) -> bool:
@@ -407,7 +420,7 @@ def _full_span_mod_p(gens) -> bool:
     dimensions: a certificate, which False does not refute.
 
     Each generator's numerator (its integer coordinates, at its conductor m
-    dividing the lcm n) is mapped to F_p by zeta_m -> w^(n / m), with
+    dividing the lcm n) is mapped to F_p by ``_image``, zeta_m -> w^(n / m), with
     (p, w) = ``_prime_and_root(n)``, and ``_word_span`` runs over F_p.  Rank
     can only drop under a ring map, so r^2 independent words mod p are r^2
     independent words over Q(zeta_n).  Scaling a generator by its denominator
@@ -417,8 +430,7 @@ def _full_span_mod_p(gens) -> bool:
     r, n = gens[0].rows, math.lcm(*(g.conductor for g in gens))
     p, w = _prime_and_root(n)
     rr = r * r
-    images = [_images_mod_p(g.num, g.conductor, p, pow(w, n // g.conductor, p))
-              for g in gens if not g.is_scalar()]
+    images = [[_image(x, g.conductor, n, w, p) for x in g.num] for g in gens if not g.is_scalar()]
 
     def mul(a, b):
         cols = [b[j::r] for j in range(r)]
@@ -494,14 +506,6 @@ def _extension_conductor(n: int, r: int) -> int:
         if euler_phi(n * t) <= r * phi_n:
             out = math.lcm(out, n * t)
     return out
-
-
-def _horner(f: list[int], x: int, m: int) -> int:
-    # f(x) mod m, for integer coefficients f, lowest degree first.
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _hensel(f: list[int], x: int, q: int, m: int) -> int:
@@ -611,17 +615,18 @@ def _unit_roots(p: Polynomial, big_n: int):
     (Cauchy).  Modulo q, the least prime = 1 (mod big_n) (``_prime_and_root``),
     zeta_big_n -> w makes g a polynomial over F_q.  If its roots there are
     simple (``_simple_roots``), each is lifted by Newton's step to q^e > 2^20
-    (2K + 1), and w likewise to W.  A root k zeta^j lifts to k W^j, so k is the
-    symmetric residue of the lift times W^-j for one j < big_n / 2 (u and -u
-    give the same roots), and each (k / D) zeta^j with |k| <= K is proposed
-    (a zero lift once).  A root that is not simple mod q makes p its
-    squarefree part p / gcd(p, p') once, and then q the least such prime
-    above 2q.  A squarefree p fails only at primes that divide the norm of its
-    discriminant; a product of k primes that each double the last exceeds
-    2^(k(k - 1) / 2), so at most about sqrt(2 log2 |norm|) of them fail, and
-    q stays near 2^k times the first.  Were all roots of p in Q(zeta_big_n),
-    those of g would lie in Z[zeta_big_n], and g mod q would be a product of
-    d linear factors: fewer than d roots mod q, none repeated, refuse p.
+    (2K + 1), and w likewise to W, under which ``_image`` gives g mod q^e.  A
+    root k zeta^j lifts to k W^j, so k is the symmetric residue of the lift
+    times W^-j for one j < big_n / 2 (u and -u give the same roots), and each
+    (k / D) zeta^j with |k| <= K is proposed (a zero lift once).  A root that
+    is not simple mod q makes p its squarefree part p / gcd(p, p') once, and
+    then q the least such prime above 2q.  A squarefree p fails only at primes
+    that divide the norm of its discriminant; a product of k primes that each
+    double the last exceeds 2^(k(k - 1) / 2), so at most about
+    sqrt(2 log2 |norm|) of them fail, and q stays near 2^k times the first.
+    Were all roots of p in Q(zeta_big_n), those of g would lie in
+    Z[zeta_big_n], and g mod q would be a product of d linear factors: fewer
+    than d roots mod q, none repeated, refuse p.
     """
     p, squarefree, (q, w) = _monic(p), False, _prime_and_root(big_n, 1)
     while True:
@@ -631,8 +636,7 @@ def _unit_roots(p: Polynomial, big_n: int):
         while m <= (2 * bound + 1) << 20:
             m *= m
         u, inv = _unit_lift(big_n, q, w, m)
-        units = {n: pow(u, big_n // n, m) for n in {c.conductor for c in p.coeffs}}
-        g = [big_d ** (d - i) // c.den * _horner(c.num, units[c.conductor], m) % m
+        g = [big_d ** (d - i) // c.den * _image(c.num, c.conductor, big_n, u, m) % m
              for i, c in enumerate(p.coeffs)]
         if (roots := _simple_roots(tuple(c % q for c in g), q)) is not None:
             break
@@ -655,11 +659,10 @@ def _unit_roots(p: Polynomial, big_n: int):
             rho = rho * inv % m
 
 
-def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum, ...] | None:
+def eigenvalues_split(a: Matrix) -> tuple[CycNum, ...] | None:
     """The eigenvalue multiset when the characteristic polynomial splits over
     its own coefficient field together with that field's degree-bounded
-    cyclotomic extensions; None otherwise.  ``poly``, when given, is the
-    characteristic polynomial of ``a``, already computed.
+    cyclotomic extensions; None otherwise.
 
     The rule (``poly_roots_in_field``) reads the characteristic polynomial
     alone, so every basis of a local system gets the same answer.  A scalar
@@ -673,7 +676,7 @@ def eigenvalues_split(a: Matrix, poly: Polynomial | None = None) -> tuple[CycNum
         raise ShapeError("eigenvalues of a non-square matrix")
     if a.is_scalar():
         return (_normalize(a.conductor, a.num[0], a.den),) * a.rows
-    return poly_roots_in_field(charpoly(a) if poly is None else poly)
+    return poly_roots_in_field(a._poly())
 
 
 def poly_roots_in_field(p: Polynomial) -> tuple[CycNum, ...] | None:
@@ -722,7 +725,7 @@ def _search_roots(p: Polynomial, proposals=None) -> tuple[CycNum, ...] | None:
     it divides; then a quadratic remainder c2 y^2 + c1 y + c0 proposes
     (w - c1) / (2 c2) for each w the same search proposes as a square root of
     its discriminant; the last root is the linear quotient's.  A proposed None
-    proves that p does not split, before any lift or second search."""
+    proves that p does not split, before any root is lifted or searched again."""
     big_n = _extension_conductor(math.lcm(*(c.conductor for c in p.coeffs)), p.degree())
     roots: list[CycNum] = []
 

@@ -335,8 +335,8 @@ def mon(t: MonodromyTuple) -> MonData:
     searched in order up to the first that does not."""
     polys, evs = [], []
     for i, g in enumerate(t.matrices):
-        polys.append(p := charpoly(g))
-        if (ev := eigenvalues_split(g, p)) is None:
+        polys.append(charpoly(g))
+        if (ev := eigenvalues_split(g)) is None:
             return MonData(None, tuple(polys), t.matrices[i + 1:])
         evs.append(ev)
     return MonData(EigenData.of(evs), tuple(polys))

@@ -245,11 +245,12 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int) -> set[tuple[int, ...]]
     plus any multiple of b / g: g values mod 1 (b when d_k = 0), or none.  So
     b q = V (b y) mod b, one point each, reached by stepping (b / g) V e_k mod
     b along each axis.  ``DEFAULT_GRID_BUDGET`` bounds the search space b^N,
-    not the work done (the Smith form plus the output)."""
+    not the work done (the Smith form plus the output); b >= 2 puts b^N past
+    it by N = its bit length, so the power is never taken further."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
     b, n = order_bound, c.dim
-    if b ** n > DEFAULT_GRID_BUDGET:
+    if b ** min(n, DEFAULT_GRID_BUDGET.bit_length()) > DEFAULT_GRID_BUDGET:
         raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of "
                              f"{DEFAULT_GRID_BUDGET}")
     if c.empty:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from rigidmono import (CycNum, Matrix, Polynomial, charpoly, eigenvalues_split, linalg, one,
                        rank_and_kernel_dim, rational, sort_key, zero, zeta)
-from rigidmono.cyclotomic import _prime_divisors, euler_phi, unit_exp, unit_log
+from rigidmono.cyclotomic import (GaloisElement, _dot, _lift, _normalize, _prime_divisors,
+                                  euler_phi, galois_apply, unit_exp, unit_log)
 from rigidmono.errors import NotInvertible, ShapeError
 from rigidmono.linalg import (_extension_conductor, _search_roots, algebra_dim,
                               poly_roots_in_field)
@@ -108,6 +109,38 @@ def test_rank_plus_kernel_is_cols():
         a = Matrix(rows, cols, tuple(rng.choice(POOL) for _ in range(rows * cols)))
         r, k = rank_and_kernel_dim(a)
         assert r + k == cols
+
+
+@st.composite
+def _image_cases(draw):
+    # A conductor m dividing n <= 60, coordinates x at m and y at n, a unit k mod n.
+    n = draw(st.integers(1, 60))
+    m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coords = st.integers(-9, 9)
+    x = tuple(draw(st.lists(coords, min_size=euler_phi(m), max_size=euler_phi(m))))
+    y = tuple(draw(st.lists(coords, min_size=euler_phi(n), max_size=euler_phi(n))))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if math.gcd(k, n) == 1]))
+    return m, n, x, y, k
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_image_cases())
+def test_image_is_the_ring_map_of_the_exact_side(case):
+    # _image is zeta_n -> w on coordinates, for the certificates' (p, w) and
+    # for the root search's (q^e, W): it commutes with lifting, products and
+    # the Galois action zeta_n -> zeta_n^k, which sends w to w^k.
+    m, n, x, y, k = case
+    xn, z = _lift(x, m, n), _normalize(n, list(y), 1)
+    q, v = linalg._prime_and_root(n, 1)
+    for mod, w in (linalg._prime_and_root(n), (q ** 4, linalg._unit_lift(n, q, v, q ** 4)[0])):
+        def image(num, c=n, w=w):
+            return linalg._image(num, c, n, w, mod)
+
+        assert image(xn) == image(x, m)
+        assert image(_dot(n, ((xn, y),))) == image(xn) * image(y) % mod
+        if n > 1:
+            gz = galois_apply(z, GaloisElement(n, k))
+            assert image(gz.num, z.conductor) == image(z.num, z.conductor, pow(w, k, mod))
 
 
 @pytest.mark.parametrize("n", [1, 12])

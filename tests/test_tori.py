@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from datetime import timedelta
 from fractions import Fraction
 from math import gcd, lcm
@@ -165,6 +166,23 @@ def test_enumerate_examples():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_torsion(TorsionCoset(6, (), (0,) * 6), 24)  # 24^6 > DEFAULT_GRID_BUDGET
+    # The refusal never takes b^N in full: the largest order bound the wire
+    # admits, on 3000 axes, is refused at once.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        enumerate_torsion(TorsionCoset(3000, (), (0,) * 3000), 10 ** 4299)
+    assert time.perf_counter() - start < 0.5
+    # The edge stays exact: b^N = DEFAULT_GRID_BUDGET passes, one more is refused.
+    assert enumerate_torsion(TorsionCoset.of(1, [[1]], [0]), 2_000_000) == {(0,)}
+    with pytest.raises(BudgetExceeded):
+        enumerate_torsion(TorsionCoset.of(1, [[1]], [0]), 2_000_001)
+
+    def identity(n):
+        return TorsionCoset.of(n, [[int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+
+    assert enumerate_torsion(identity(20), 2) == {(0,) * 20}  # 2^20 <= 2,000,000 < 2^21
+    with pytest.raises(BudgetExceeded):
+        enumerate_torsion(identity(21), 2)
 
 
 def test_preimage_examples():
