@@ -246,13 +246,14 @@ def enumerate_torsion(c: TorsionCoset, order_bound: int) -> set[tuple[int, ...]]
     b q = V (b y) mod b, one point each, reached by stepping (b / g) V e_k mod
     b along each axis.  ``DEFAULT_GRID_BUDGET`` bounds the search space b^N,
     not the work done (the Smith form plus the output); b >= 2 puts b^N past
-    it by N = its bit length, so the power is never taken further."""
+    it by N = its bit length, so the power is never taken further.  A
+    refusal names a b past the budget by its bit length, not its digits."""
     if order_bound < 1:
         raise ShapeError("order bound must be positive")
     b, n = order_bound, c.dim
     if b ** min(n, DEFAULT_GRID_BUDGET.bit_length()) > DEFAULT_GRID_BUDGET:
-        raise BudgetExceeded(f"grid of {b}^{n} points exceeds the budget of "
-                             f"{DEFAULT_GRID_BUDGET}")
+        grid = f"{b}^{n}" if b <= DEFAULT_GRID_BUDGET else f"b^{n} (b of {b.bit_length()} bits)"
+        raise BudgetExceeded(f"grid of {grid} points exceeds the budget of {DEFAULT_GRID_BUDGET}")
     if c.empty:
         return set()
     rows = [list(r) for r in c.relations]

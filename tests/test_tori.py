@@ -164,14 +164,16 @@ def test_enumerate_examples():
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as small:
         enumerate_torsion(TorsionCoset(6, (), (0,) * 6), 24)  # 24^6 > DEFAULT_GRID_BUDGET
+    assert str(small.value) == "grid of 24^6 points exceeds the budget of 2000000"
     # The refusal never takes b^N in full: the largest order bound the wire
-    # admits, on 3000 axes, is refused at once.
+    # admits, on 3000 axes, is refused at once, and names b by its bit length.
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as large:
         enumerate_torsion(TorsionCoset(3000, (), (0,) * 3000), 10 ** 4299)
     assert time.perf_counter() - start < 0.5
+    assert len(str(large.value)) < 200
     # The edge stays exact: b^N = DEFAULT_GRID_BUDGET passes, one more is refused.
     assert enumerate_torsion(TorsionCoset.of(1, [[1]], [0]), 2_000_000) == {(0,)}
     with pytest.raises(BudgetExceeded):
