@@ -6,20 +6,22 @@ reports byte-stable.  Parsers are strict: unknown keys are rejected, and a
 failed check builds its message only then.  A ``conductor_cap`` (by default
 ``DEFAULT_CONDUCTOR_CAP``, the CLI's default too) is enforced before any
 field arithmetic: on each declared conductor as its entry is read;
-on the lcm of a matrix's declared conductors, within which its entries,
-rational or not, are brought once to that lcm over one denominator (an entry
-declared there with at most phi(lcm) coordinates, as every rational and every
-value a report writes, is placed as read; any other is lifted) and the
-matrix descends once, a prime at a time, to its least conductor (past it,
-each entry descends alone and the cap holds on their least conductors before
-any lift); then on the lcm of a tuple's matrices (or of all
-the eigenvalues of eigenvalue data) before they are multiplied.  Eigenvalue
-data parses and checks every value, and decodes each distinct (declared
-conductor, coordinates) once per payload.  A plain
-rational string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``;
-every other spelling goes through ``Fraction``.  Every integer a report writes
-as text passes :func:`int_text`, which refuses one past the interpreter's
-digit limit.
+on the lcm of a matrix's declared conductors.  A matrix whose entries are all
+rational strings is at conductor 1: it is read in one pass to integer pairs
+over one lcm denominator, with no lift and no descent.  Within that lcm any
+other matrix's entries, rational or not, are brought once to it over one
+denominator (an entry declared there with at most phi(lcm) coordinates, as
+every rational and every value a report writes, is placed as read; any other
+is lifted) and the matrix descends once, a prime at a time, to its least
+conductor (past it, each entry descends alone and the cap holds on their
+least conductors before any lift); then on the lcm of a tuple's matrices (or
+of all the eigenvalues of eigenvalue data) before they are multiplied.
+Eigenvalue data parses and checks every value, and decodes each distinct
+(declared conductor, coordinates) once per payload.  A plain rational
+string, ``"p"`` or ``"p/q"`` in ASCII digits, is read with ``int``; every
+other spelling goes through ``Fraction``.  Every integer a report writes as
+text passes :func:`int_text`, which refuses one past the interpreter's digit
+limit.
 """
 from __future__ import annotations
 
@@ -198,6 +200,12 @@ def matrix_from_json(obj, conductor_cap: int = DEFAULT_CONDUCTOR_CAP) -> Matrix:
     ent = obj.get("entries")
     _require(isinstance(ent, list) and len(ent) == rows * cols,
              "matrix: expected {} entries", rows * cols)
+    if conductor_cap >= 1 and all(type(v) is str for v in ent):
+        # All rational, at conductor 1 (which a cap below 1 refuses below): one pass to
+        # (p, q) pairs over one lcm denominator, with no lift and no descent.
+        pairs = [_str_ratio(v, "matrix entry") for v in ent]
+        den = math.lcm(*[q for _, q in pairs])
+        return Matrix.from_coords(rows, cols, 1, tuple((p * (den // q),) for p, q in pairs), den)
     parts = [_cyc_parts(v, "matrix entry", conductor_cap) for v in ent]
     n = math.lcm(*[k for k, _ in parts])
     if n > conductor_cap:

@@ -151,6 +151,24 @@ def test_mon_converts_each_distinct_value_once(monkeypatch, capsys):
     assert Counter(v for (v,) in calls) == Counter(set(values))
 
 
+def test_rational_matrices_decode_with_no_lift_or_descent(monkeypatch):
+    # A matrix of rational strings is read in one pass at conductor 1, with no
+    # entry parsed as a scalar and no lift or descent; a cyclotomic matrix
+    # still lifts and descends once.
+    def rational_text(v):
+        return wire.rational_to_json(Fraction(v.num[0], v.den))
+    g1, g2 = Matrix.from_rows([[1, Fraction(1, 2)], [0, 1]]), Matrix.from_rows([[1, 0], [-8, 1]])
+    t = MonodromyTuple.of([g1, g2, (g1 @ g2).inverse()])
+    obj = wire.tuple_to_json(t, rational_text)
+    lifts = _count_calls(monkeypatch, "_from_ratios", owner=cyclotomic)
+    parts = _count_calls(monkeypatch, "_cyc_parts", owner=wire)
+    assert wire.tuple_from_json(obj).matrices == t.matrices
+    assert lifts == [] and parts == []
+    g = Matrix.from_rows([[zeta(4), 1], [0, Fraction(1, 3)]])
+    assert wire.matrix_from_json(wire.matrix_to_json(g)) == g
+    assert len(lifts) == 1
+
+
 def test_singular_factor_with_a_broken_relation_exit_2(capsys):
     # A singular factor makes the product singular, so it is still named.
     singular = {"rows": 2, "cols": 2, "entries": ["1", "1", "0", "0"]}

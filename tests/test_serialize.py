@@ -363,6 +363,51 @@ def test_matrix_decoder_matches_the_entry_path(obj):
         assert m == ref
 
 
+# Rational matrix entries: mostly plain "p" and "p/q" strings, with the other spellings
+# (signs, spaces, '_', decimals, exponents, non-ASCII digits), refused strings, ints and bools.
+plain_rationals = st.one_of(
+    st.sampled_from(["0", "-7", "3/12", "1"]), st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 99)))
+rational_entries = st.one_of(
+    plain_rationals, plain_rationals, plain_rationals, st.integers(-30, 30),
+    st.sampled_from(["+1", " 2", "1_0", "1e3", "1.5", "-2/6 ", "١٢", "٣/4",
+                     "1/0", "1/00", "", "x", True, False]))
+
+
+@st.composite
+def rational_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {"rows": rows, "cols": cols, "entries": draw(
+        st.lists(rational_entries, min_size=rows * cols, max_size=rows * cols))}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rational_matrices())
+def test_rational_matrix_decoder_matches_the_entry_path(obj):
+    # A matrix of rational strings is read in one pass at conductor 1; it decodes, or
+    # refuses its first bad entry with a schema error, exactly as the entries decoded one
+    # by one do.
+    try:
+        ref = Matrix(obj["rows"], obj["cols"],
+                     [wire.cyc_from_json(e, "matrix entry") for e in obj["entries"]])
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as refused:
+            wire.matrix_from_json(obj)
+        assert type(refused.value) is type(exc) and str(refused.value) == str(exc)
+        return
+    m = wire.matrix_from_json(obj)
+    assert (m.conductor, m.num, m.den) == (ref.conductor, ref.num, ref.den)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_rational_matrix_keeps_a_cap_below_1_refusing(cap):
+    # Conductor 1 exceeds a cap below 1, after the entries are read.
+    with pytest.raises(BudgetExceeded, match=f"^working conductor 1 exceeds the cap of {cap}$"):
+        wire.matrix_from_json({"rows": 1, "cols": 1, "entries": ["2"]}, cap)
+    with pytest.raises(SchemaError, match="^matrix entry: bad fraction 'x'$"):
+        wire.matrix_from_json({"rows": 1, "cols": 2, "entries": ["2", "x"]}, cap)
+
+
 def _entry_by_arithmetic(entry):
     # sum(c_j zeta_n^j) over the entry's coordinates, in CycNum arithmetic alone.
     n, cs = (entry["n"], entry["c"]) if isinstance(entry, dict) else (1, [entry])

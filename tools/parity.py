@@ -398,6 +398,7 @@ def moduli_replay(seeds) -> dict[str, str]:
 
 
 LEVELT_PER_RANK = {2: 40, 3: 30, 4: 20}
+COMMUTING_PER_SEED = 30
 TUPLE_COMMANDS = ("check", "mon", "orbit")
 DECISION_STEPS = ("_no_common_line", "_full_span_mod_p", "algebra_dim")
 
@@ -412,8 +413,12 @@ def burnside_replay(seeds) -> dict[str, str]:
     corpora at each seed, plus seeded Levelt triples: with A and B the
     companion matrices of prod(x - a_i) and prod(x - b_j), a_i and b_j roots
     of unity at one conductor n <= 60, the triple (A, A^-1 B, B^-1), at ranks
-    2 to 4, with a shared root in half of them.  Each group also counts the
-    tuples by the decision steps ``is_irreducible`` called for them, by name
+    2 to 4, with a shared root in half of them; and seeded rank-2 tuples whose
+    non-scalar factors all commute, (A, A^a, c I, c^-1 A^-(1+a)) for a
+    non-scalar integer A, an integer a and a scalar c (or (A, A^a, A^-(1+a))),
+    with at least two non-scalar factors, which the corpora seldom send and
+    the commutator criterion must still call reducible.  Each group also counts
+    the tuples by the decision steps ``is_irreducible`` called for them, by name
     and number of calls: the rank-2 commutator criterion
     (``monodromy._no_common_line``), and Burnside's span certificate
     (``linalg._full_span_mod_p``) and exact span (``algebra_dim``).  The
@@ -440,7 +445,7 @@ def burnside_replay(seeds) -> dict[str, str]:
 
 def _burnside_groups(seeds, steps) -> dict[str, str]:
     import corpus
-    from rigidmono import Matrix, MonodromyTuple, katz_report, one, zero, zeta
+    from rigidmono import Matrix, MonodromyTuple, katz_report, one, rational, zero, zeta
     from rigidmono import serialize as wire
 
     def companion(roots):
@@ -472,10 +477,34 @@ def _burnside_groups(seeds, steps) -> dict[str, str]:
         big_a, big_b = companion([zeta(n, k) for k in ks]), companion([zeta(n, k) for k in ls])
         return MonodromyTuple.of([big_a, big_a.inverse() @ big_b, big_b.inverse()])
 
+    def power(g, k):
+        out, base = Matrix.identity(2), (g if k >= 0 else g.inverse())
+        for _ in range(abs(k)):
+            out = out @ base
+        return out
+
+    scalars = (None, rational(2), rational(Fraction(-1, 3)), zeta(3), zeta(8, 3))
+
+    def commuting(rng):
+        # Every factor lies in Q[A], so all of them commute.
+        while True:
+            big_a = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+            if big_a.is_scalar() or not big_a.det():
+                continue
+            a, c = rng.choice((-3, -2, 1, 2, 3)), rng.choice(scalars)
+            head, tail = [big_a, power(big_a, a)], power(big_a, -1 - a)
+            gens = head + ([tail] if c is None else [Matrix.scalar(2, c), tail.scale(c.inverse())])
+            if sum(not g.is_scalar() for g in gens) >= 2:
+                return MonodromyTuple.of(gens)
+
     for r, count in LEVELT_PER_RANK.items():
         groups[f"levelt rank {r}"] = [levelt(rng, r) for seed in seeds
                                       for rng in (random.Random(f"levelt:{r}:{seed}"),)
                                       for _ in range(count)]
+
+    groups["commuting rank 2"] = [commuting(rng) for seed in seeds
+                                  for rng in (random.Random(f"commuting:{seed}"),)
+                                  for _ in range(COMMUTING_PER_SEED)]
 
     digest, dims_digest = hashlib.sha256(), hashlib.sha256()
     for name, tuples in groups.items():
